@@ -24,25 +24,21 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rambda::Execution;
 use rambda_bench::harness::{compare, is_gating, run_sweep, sweep_names, SweepResult};
 use rambda_metrics::Json;
 
 const USAGE: &str = "\
 Usage: bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
-             [--profile] [--scopes] [--workers N] [--list]
+             [--profile] [--scopes] [--list]
 
   --quick          CI-sized runs (the committed baselines are quick-mode)
   --sweep NAME     run only the named sweep (repeatable; default: all)
   --out DIR        artifact directory (default: bench/out)
   --compare PATH   baseline dir or file to gate against; regressions exit 1
   --profile        run each point under the deterministic profiler; sweep
-                   JSON and tables gain parallelism-ratio / event-core rows
+                   JSON and tables gain an event-dispatch column
   --scopes         run each point under the scoped-metrics registry; sweep
                    JSON and tables gain a hottest-scope request-share column
-  --workers N      run every point under the conservative parallel executor
-                   with N partitions (N >= 2); artifacts are byte-identical
-                   to serial runs, so --compare doubles as a differential gate
   --list           print the defined sweep names and exit
 ";
 
@@ -53,7 +49,6 @@ struct Args {
     compare: Option<PathBuf>,
     profile: bool,
     scopes: bool,
-    workers: usize,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
@@ -64,7 +59,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         compare: None,
         profile: false,
         scopes: false,
-        workers: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -81,10 +75,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     ));
                 }
                 args.sweeps.push(name);
-            }
-            "--workers" => {
-                let n = it.next().ok_or("--workers requires a count")?;
-                args.workers = n.parse().map_err(|_| format!("invalid --workers count `{n}`"))?;
             }
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out requires a directory")?),
             "--compare" => args.compare = Some(PathBuf::from(it.next().ok_or("--compare requires a path")?)),
@@ -134,13 +124,11 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let execution =
-        if args.workers >= 2 { Execution::Conservative { workers: args.workers } } else { Execution::Serial };
     let mut regressions = Vec::new();
     let mut profile = Json::obj();
     for sweep in &args.sweeps {
         let started = Instant::now();
-        let result = match run_sweep(sweep, args.quick, args.profile, args.scopes, execution) {
+        let result = match run_sweep(sweep, args.quick, args.profile, args.scopes) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: sweep {sweep}: {e}");

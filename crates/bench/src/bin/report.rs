@@ -12,8 +12,8 @@
 //!
 //! With `--profile <dir>` it runs one quick-mode runner (`--profile-runner
 //! <name|all>`, default `kvs.rambda`) with both profiler sides attached and
-//! writes `<name>.profile.json` (deterministic: event-core telemetry,
-//! critical-path/parallelism analysis, lookahead bounds) plus a shared
+//! writes `<name>.profile.json` (deterministic: event-core telemetry and
+//! per-track critical-path busy time) plus a shared
 //! `host.folded` (wall-clock flamegraph input, non-deterministic).
 //!
 //! With `--scopes <name|all>` it runs the selected quick-mode runner(s)
@@ -35,7 +35,7 @@ use std::process::exit;
 
 use rambda::designs::RUNNER_NAMES;
 use rambda::micro::{run_rambda as micro_rambda, run_rambda_always_ddio, MicroParams};
-use rambda::{Design, Execution, SimBuilder, Testbed};
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::Table;
 use rambda_dlrm::serving as dlrm;
@@ -57,7 +57,7 @@ fn usage() -> ! {
     eprintln!("usage: report [--trace <dir>] [--trace-runner <name|all>] [--worst <n>] [--loss <rate>]");
     eprintln!("              [--profile <dir>] [--profile-runner <name|all>]");
     eprintln!("              [--scopes <name|all>] [--scopes-out <dir>]");
-    eprintln!("              [--report-out <dir>] [--report-runner <name|all>] [--workers <n>]");
+    eprintln!("              [--report-out <dir>] [--report-runner <name|all>]");
     eprintln!("runners: {}", RUNNER_NAMES.join(", "));
     exit(2);
 }
@@ -86,7 +86,6 @@ fn main() {
     let mut report_out: Option<String> = None;
     let mut report_runner = "kvs.rambda".to_string();
     let mut report_flags_seen = false;
-    let mut workers = 1usize;
     let mut worst = 10usize;
     let mut loss = 0.0f64;
     let mut i = 0;
@@ -133,10 +132,6 @@ fn main() {
                 report_flags_seen = true;
                 i += 2;
             }
-            "--workers" => {
-                workers = value(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
             "--loss" => {
                 loss = value(i).parse().unwrap_or_else(|_| usage());
                 if !(0.0..=1.0).contains(&loss) {
@@ -180,28 +175,22 @@ fn main() {
         exit(2);
     }
 
-    // The execution mode every SimBuilder run in the export modes uses:
-    // serial by default, the conservative parallel executor with
-    // `--workers <n>` (n >= 2). RunReports are byte-identical either way —
-    // that is exactly what the CI parallel-smoke job cross-checks.
-    let execution = if workers >= 2 { Execution::Conservative { workers } } else { Execution::Serial };
-
     let tb = Testbed::default();
     let faults = FaultConfig::lossy(FAULT_SEED, loss);
     if let Some(dir) = trace_dir {
-        trace_exports(&tb, &dir, &runner, worst, &faults, execution);
+        trace_exports(&tb, &dir, &runner, worst, &faults);
         return;
     }
     if let Some(dir) = profile_dir {
-        profile_exports(&tb, &dir, &profile_runner, execution);
+        profile_exports(&tb, &dir, &profile_runner);
         return;
     }
     if let Some(name) = scopes_runner {
-        scopes_exports(&tb, &name, scopes_out.as_deref(), execution);
+        scopes_exports(&tb, &name, scopes_out.as_deref());
         return;
     }
     if let Some(dir) = report_out {
-        report_exports(&tb, &dir, &report_runner, execution);
+        report_exports(&tb, &dir, &report_runner);
         return;
     }
     if faults.is_active() {
@@ -311,23 +300,16 @@ fn design_for(name: &str) -> Design {
     })
 }
 
-/// Runs the selected runner(s) under `execution`, validates each report,
-/// and writes `<name>.report.json` — the full deterministic run report.
-/// CI's parallel-smoke job byte-compares these exports across
-/// `--workers 1` and `--workers 2` to prove the conservative executor
-/// changes nothing observable.
-fn report_exports(tb: &Testbed, dir: &str, runner: &str, execution: Execution) {
+/// Runs the selected runner(s), validates each report, and writes
+/// `<name>.report.json` — the full deterministic run report.
+fn report_exports(tb: &Testbed, dir: &str, runner: &str) {
     fs::create_dir_all(dir).expect("create report output dir");
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
-        let report = SimBuilder::new(design_for(name)).config(tb).execution(execution).run();
+        let report = SimBuilder::new(design_for(name)).config(tb).run();
         report.validate().expect("inconsistent run report");
-        assert_eq!(report.execution, execution.label(), "report must record its execution mode");
         fs::write(format!("{dir}/{name}.report.json"), report.to_json_string()).expect("write run report");
-        println!(
-            "{name}: {} completions under {} -> {dir}/{name}.report.json",
-            report.completed, report.execution
-        );
+        println!("{name}: {} completions -> {dir}/{name}.report.json", report.completed);
     }
 }
 
@@ -391,24 +373,13 @@ fn fault_quickstart(tb: &Testbed, faults: &FaultConfig, loss: f64) {
 /// Runs the selected runner(s) with tracing, self-validates the trace
 /// against the run report, writes the three artifacts per runner, and
 /// prints each runner's tail attribution.
-fn trace_exports(
-    tb: &Testbed,
-    dir: &str,
-    runner: &str,
-    worst: usize,
-    faults: &FaultConfig,
-    execution: Execution,
-) {
+fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &FaultConfig) {
     fs::create_dir_all(dir).expect("create trace output dir");
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
         let mut tracer = Tracer::flight_recorder();
-        let report = SimBuilder::new(design_for(name))
-            .config(tb)
-            .execution(execution)
-            .faults(faults.clone())
-            .tracer(&mut tracer)
-            .run();
+        let report =
+            SimBuilder::new(design_for(name)).config(tb).faults(faults.clone()).tracer(&mut tracer).run();
         report.validate().expect("inconsistent run report");
         if let Err(e) = tracer.cross_validate(&report) {
             eprintln!("{name}: trace/report cross-validation failed: {e}");
@@ -458,31 +429,22 @@ fn trace_exports(
 /// two artifacts per runner plus one per invocation:
 ///
 /// * `<name>.profile.json` — the deterministic profile (event-core
-///   telemetry, critical-path/parallelism analysis, per-machine-pair
-///   lookahead bounds); byte-identical across same-seed runs.
+///   telemetry, per-track critical-path busy time); byte-identical across
+///   same-seed runs.
 /// * `host.folded` — folded-stack wall-clock attribution across all
 ///   profiled runners (`<name>;<phase> <ns>` lines for `flamegraph.pl`);
 ///   non-deterministic by nature, git-ignored, never golden-tested.
-fn profile_exports(tb: &Testbed, dir: &str, runner: &str, execution: Execution) {
+fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
     fs::create_dir_all(dir).expect("create profile output dir");
     // The wall-clock side: `Instant` is fine here (binaries are exempt from
     // the determinism rules); the sim crates only ever see the closure.
     let t0 = std::time::Instant::now();
     let mut prof = HostProf::new(move || t0.elapsed().as_nanos() as u64);
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
-    let mut t = Table::new(
-        "parallel-DES readiness — deterministic profile",
-        &["runner", "parallelism", "lookahead min us", "events dispatched"],
-    );
     for name in names {
         let mut tracer = Tracer::flight_recorder();
         let report = prof.time(&format!("{name};run"), || {
-            SimBuilder::new(design_for(name))
-                .config(tb)
-                .execution(execution)
-                .tracer(&mut tracer)
-                .profile()
-                .run()
+            SimBuilder::new(design_for(name)).config(tb).tracer(&mut tracer).profile().run()
         });
         prof.time(&format!("{name};validate"), || {
             report.validate().expect("inconsistent run report");
@@ -493,27 +455,10 @@ fn profile_exports(tb: &Testbed, dir: &str, runner: &str, execution: Execution) 
         });
         let doc = prof.time(&format!("{name};render"), || profile_json(&report, &tracer));
         fs::write(format!("{dir}/{name}.profile.json"), &doc).expect("write profile json");
-
-        let cp = tracer.critical_path().expect("flight recorder analyzes the critical path");
-        let lookahead_min = report
-            .resources
-            .counters()
-            .filter(|(n, _)| n.contains(".lookahead.") && n.ends_with(".min_ps"))
-            .map(|(_, v)| v)
-            .min();
-        let dispatched = report.event_core.as_ref().map_or(0, |ec| ec.dispatched);
-        t.row(vec![
-            name.into(),
-            format!("{:.2}x", cp.parallelism_ratio()),
-            lookahead_min.map_or("-".into(), |ps| format!("{:.2}", ps as f64 / 1.0e6)),
-            dispatched.to_string(),
-        ]);
         println!("{name}: profile -> {dir}/{name}.profile.json");
     }
     fs::write(format!("{dir}/host.folded"), prof.export_folded()).expect("write folded stacks");
-    t.print();
     println!("Wall-clock attribution (non-deterministic): {dir}/host.folded");
-    println!("Readiness summary with partition-safety status: cargo xtask profile");
 }
 
 /// The scoped-run configuration for a named runner: the default sketch
@@ -537,16 +482,16 @@ fn scope_config_for(name: &str) -> ScopeConfig {
 /// (the scoped report) and `<name>.unscoped.json` (the same run without
 /// scopes — byte-identical to the committed goldens for the golden-pinned
 /// runners).
-fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>, execution: Execution) {
+fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>) {
     if let Some(dir) = out {
         fs::create_dir_all(dir).expect("create scopes output dir");
     }
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
         let config = scope_config_for(name);
-        let scoped = SimBuilder::new(design_for(name)).config(tb).execution(execution).scopes(config).run();
+        let scoped = SimBuilder::new(design_for(name)).config(tb).scopes(config).run();
         scoped.validate().expect("inconsistent scoped run report");
-        let again = SimBuilder::new(design_for(name)).config(tb).execution(execution).scopes(config).run();
+        let again = SimBuilder::new(design_for(name)).config(tb).scopes(config).run();
         if scoped.to_json_string() != again.to_json_string() {
             eprintln!("{name}: same-seed scoped runs serialized differently");
             exit(1);
@@ -592,7 +537,7 @@ fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>, execution: Exec
         println!("{name}: scope conservation identities validated (RunReport::validate)");
 
         if let Some(dir) = out {
-            let unscoped = SimBuilder::new(design_for(name)).config(tb).execution(execution).run();
+            let unscoped = SimBuilder::new(design_for(name)).config(tb).run();
             unscoped.validate().expect("inconsistent unscoped run report");
             fs::write(format!("{dir}/{name}.scopes.json"), scoped.to_json_string())
                 .expect("write scoped report");

@@ -46,25 +46,6 @@ fn scopes_combined_with_trace_or_profile_fails_fast() {
 }
 
 #[test]
-fn report_export_is_byte_identical_across_execution_modes() {
-    // The tentpole CLI contract: `--report-out` under `--workers 2` (the
-    // conservative parallel executor) writes exactly the bytes the serial
-    // run writes — the same cross-check CI's parallel-smoke job performs.
-    let serial_dir = format!("{}/report-serial", env!("CARGO_TARGET_TMPDIR"));
-    let par_dir = format!("{}/report-par", env!("CARGO_TARGET_TMPDIR"));
-    let out = report(&["--report-out", &serial_dir, "--report-runner", "kvs.rambda"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("under serial"));
-    let out = report(&["--report-out", &par_dir, "--report-runner", "kvs.rambda", "--workers", "2"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("under conservative(2)"));
-
-    let serial = std::fs::read(format!("{serial_dir}/kvs.rambda.report.json")).expect("serial json");
-    let par = std::fs::read(format!("{par_dir}/kvs.rambda.report.json")).expect("parallel json");
-    assert_eq!(serial, par, "serial and conservative report exports must be byte-identical");
-}
-
-#[test]
 fn stray_report_runner_without_report_out_fails_fast() {
     let out = report(&["--report-runner", "kvs.rambda"]);
     assert_eq!(out.status.code(), Some(2), "stray --report-runner must exit 2");

@@ -44,7 +44,7 @@ pub mod report;
 pub mod sim;
 
 pub use config::{CpuConfig, Testbed};
-pub use driver::{run_closed_loop, run_closed_loop_exec, DriverConfig, ExecStats, Execution, RunStats};
+pub use driver::{run_closed_loop, DriverConfig, RunStats};
 pub use framework::{AppRegistration, Connection, CpollLayout, Framework, RegisterError, RegisteredApp};
 pub use machine::Machine;
 pub use report::build_report;

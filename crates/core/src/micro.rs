@@ -14,7 +14,7 @@ use rambda_mem::{MemKind, MemorySystem};
 
 use crate::config::Testbed;
 use crate::cpu::CpuServer;
-use crate::driver::{run_closed_loop_exec, DriverConfig, RunStats};
+use crate::driver::{run_closed_loop, DriverConfig, RunStats};
 use crate::sim::{Design, SimCtx};
 
 /// Spin-polling throughput tax relative to cpoll, applied to both the
@@ -147,15 +147,13 @@ fn run_cpu_inner(
     batch: usize,
     ctx: SimCtx<'_>,
 ) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, profile: _, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
     let mut mem = MemorySystem::new(testbed.mem.clone(), true);
     let mut cpu = CpuServer::new(testbed.cpu.clone(), cores, batch);
     let kind = params.kind();
     let record = params.record_bytes();
     let scope_names = params.scope_names();
-    // Single machine, no fabric: zero lookahead opts out of parallel
-    // execution and the driver falls back to serial.
-    let stats = run_closed_loop_exec(&params.driver(), exec, Span::ZERO, |c, at| {
+    let stats = run_closed_loop(&params.driver(), |c, at| {
         let mut tr = tracer.observe(rec, at);
         let done = cpu.serve_request(at, params.chase, record, kind, &mut mem);
         tr.leg("cpu_serve", done);
@@ -212,7 +210,7 @@ fn run_rambda_inner(
     seed: u64,
     ctx: SimCtx<'_>,
 ) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, profile: _, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
     let location = match (params.nvm, location) {
         (true, DataLocation::HostDram) => DataLocation::HostNvm,
         (_, l) => l,
@@ -224,9 +222,7 @@ fn run_rambda_inner(
     let record = params.record_bytes();
     let scope_names = params.scope_names();
 
-    // Single machine, no fabric: zero lookahead opts out of parallel
-    // execution and the driver falls back to serial.
-    let stats = run_closed_loop_exec(&params.driver(), exec, Span::ZERO, |c, at| {
+    let stats = run_closed_loop(&params.driver(), |c, at| {
         let mut trace = tracer.observe(rec, at);
         // Request written into the ring at `at`; discovery via cpoll (or the
         // slower spin-poll cycle).

@@ -36,7 +36,7 @@ use rambda_metrics::{MetricSet, RunReport, ScopeConfig, ScopedMetrics, StageReco
 use rambda_trace::Tracer;
 
 use crate::config::Testbed;
-use crate::driver::{Execution, RunStats};
+use crate::driver::RunStats;
 use crate::report::build_report;
 
 /// Everything a runner needs besides its own parameters: the stage
@@ -55,20 +55,11 @@ pub struct SimCtx<'a> {
     /// Fault plan to install on the run's `Network` (disabled by default).
     /// Single-machine designs without a network ignore it.
     pub faults: &'a FaultConfig,
-    /// Whether the run is being profiled: designs with a network record
-    /// per-machine-pair lookahead bounds and publish them, and the builder
-    /// attaches event-core telemetry to the report.
-    pub profile: bool,
     /// Per-entity scoped metrics; `ScopedMetrics::disabled()` unless the
     /// builder enabled scoping. Designs tag each request with its scope
     /// (shard, replica, table) and feed hot keys into the sketch; the
     /// builder folds the registry into the report's `scopes` section.
     pub scopes: &'a mut ScopedMetrics,
-    /// Requested execution mode. Runners thread this into
-    /// [`run_closed_loop_exec`](crate::run_closed_loop_exec) together with
-    /// their fabric's lookahead bound; designs without a usable lookahead
-    /// pass `Span::ZERO` and the driver falls back to serial.
-    pub exec: Execution,
 }
 
 /// Builds a throwaway [`SimCtx`] (disabled recorder, tracer and fault
@@ -88,9 +79,7 @@ macro_rules! rambda_stats_only_ctx {
             resources: &mut resources,
             tracer: &mut tracer,
             faults: &faults,
-            profile: false,
             scopes: &mut scopes,
-            exec: $crate::Execution::Serial,
         };
     };
 }
@@ -148,7 +137,6 @@ pub struct SimBuilder<'a> {
     tracer: Option<&'a mut Tracer>,
     profile: bool,
     scopes: Option<ScopeConfig>,
-    execution: Execution,
 }
 
 impl<'a> SimBuilder<'a> {
@@ -162,19 +150,7 @@ impl<'a> SimBuilder<'a> {
             tracer: None,
             profile: false,
             scopes: None,
-            execution: Execution::Serial,
         }
-    }
-
-    /// Selects the execution mode (default [`Execution::Serial`]).
-    ///
-    /// `Execution::Conservative { workers }` runs the design under the
-    /// lookahead-windowed partitioned executor; the resulting report is
-    /// byte-identical to a serial run of the same design and seed, with the
-    /// mode recorded in [`RunReport::execution`](RunReport).
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Uses `testbed` instead of the default configuration.
@@ -199,8 +175,7 @@ impl<'a> SimBuilder<'a> {
     }
 
     /// Enables deterministic profiling: the report gains an `event_core`
-    /// section (scheduler telemetry with validated conservation identities)
-    /// and network designs publish per-machine-pair lookahead bounds.
+    /// section (scheduler telemetry with validated conservation identities).
     pub fn profile(mut self) -> Self {
         self.profile = true;
         self
@@ -231,20 +206,12 @@ impl<'a> SimBuilder<'a> {
             resources: &mut resources,
             tracer,
             faults: &self.faults,
-            profile: self.profile,
             scopes: &mut scoped,
-            exec: self.execution,
         };
         let stats = (self.design.run)(&self.testbed, ctx);
         let mut report = build_report(self.design.name, self.design.seed, &stats, &mut rec, resources);
-        report.execution = self.execution.label();
         if self.profile {
-            report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0).with_exec(
-                stats.exec.partitions,
-                stats.exec.windows,
-                stats.exec.barriers,
-                stats.exec.horizon_stalls,
-            ));
+            report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0));
         }
         if scoped.is_active() {
             report.attach_scopes(scoped.finalize(report.timeline.as_ref()));
@@ -261,7 +228,7 @@ mod tests {
 
     fn toy_design(seed: u64) -> Design {
         Design::from_runner("toy", seed, |_tb, ctx| {
-            let SimCtx { rec, resources, tracer, faults, profile: _, scopes, exec: _ } = ctx;
+            let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
             assert!(!faults.is_active(), "toy design runs healthy");
             let scope_names = ["conn/0", "conn/1"];
             let mut server = Server::new(2);
@@ -316,6 +283,21 @@ mod tests {
         let mut tracer = Tracer::flight_recorder();
         let report = SimBuilder::new(toy_design(3)).tracer(&mut tracer).run();
         tracer.cross_validate(&report).expect("trace matches report");
+    }
+
+    #[test]
+    fn traced_and_scoped_run_cross_validates() {
+        use rambda_metrics::ScopeConfig;
+        let mut tracer = Tracer::flight_recorder();
+        let mut report =
+            SimBuilder::new(toy_design(3)).tracer(&mut tracer).scopes(ScopeConfig::default()).run();
+        report.validate().expect("scoped report holds its identities");
+        tracer.cross_validate(&report).expect("scope mirrors attached after the final sample are exempt");
+        // The exemption defers to `validate_scopes`, which still catches a
+        // tampered mirror.
+        let requests = report.resources.counter("scope.requests").expect("scope mirror published");
+        report.resources.set("scope.requests", requests + 1);
+        assert!(report.validate().is_err(), "tampered scope.requests must fail validation");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (with MERCI memoization) and the lightweight FC layers, and responds
 //! through the RNIC.
 
-use rambda::{cpu::CpuServer, run_closed_loop_exec, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, DataLocation};
 use rambda_des::Link;
 use rambda_des::{Server, SimRng, SimTime, Span};
@@ -238,12 +238,9 @@ pub fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize) -> RunStats
 }
 
 fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, true);
     let mut server = rambda::Machine::new(SERVER, testbed, true);
     let mut world = DlrmWorld::new(params);
@@ -257,8 +254,7 @@ fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimC
     let costs = params.costs.clone();
     let scope_names = params.scope_names();
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let (plan, wire, _score) = world.next_query(params);
         observe_plan(scopes, &plan);
@@ -323,7 +319,6 @@ fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimC
         resources.observe_server("cores", &core_pool);
         resources.observe_link("gather", &gather);
         net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
         net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }
@@ -344,12 +339,9 @@ fn run_rambda_inner(
     location: DataLocation,
     ctx: SimCtx<'_>,
 ) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, false);
     let mut server = rambda::Machine::new(SERVER, testbed, false);
     let mut engine = AccelEngine::new(testbed.accel_config(location, true));
@@ -371,8 +363,7 @@ fn run_rambda_inner(
     let local_row = (row as f64 * costs.local_gather_overhead) as u64;
     let scope_names = params.scope_names();
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let (plan, wire, _score) = world.next_query(params);
         observe_plan(scopes, &plan);
@@ -463,7 +454,6 @@ fn run_rambda_inner(
         preprocess_cores.publish_metrics(resources, "preprocess");
         resources.observe_server("apu_dispatch", &dispatch);
         net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
         net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }

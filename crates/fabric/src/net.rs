@@ -51,10 +51,6 @@ pub struct Network {
     ingress: BTreeMap<NodeId, Link>,
     messages: u64,
     faults: Option<FaultPlan>,
-    /// Per-(from, to) minimum observed one-way delivery latency, recorded
-    /// only when profiling enabled it — the empirical lookahead bound a
-    /// conservative parallel DES could exploit between the two machines.
-    lookahead: Option<BTreeMap<(NodeId, NodeId), Span>>,
 }
 
 /// The verdict of one fault-aware data-path transmission
@@ -85,50 +81,7 @@ pub enum TxOutcome {
 impl Network {
     /// Creates an empty network; ports materialize on first use.
     pub fn new(cfg: NetConfig) -> Self {
-        Network {
-            cfg,
-            egress: BTreeMap::new(),
-            ingress: BTreeMap::new(),
-            messages: 0,
-            faults: None,
-            lookahead: None,
-        }
-    }
-
-    /// Starts recording per-machine-pair minimum delivery latencies
-    /// (profiling only — disabled networks skip the bookkeeping entirely,
-    /// keeping unprofiled runs byte-identical).
-    pub fn enable_lookahead(&mut self) {
-        self.lookahead = Some(BTreeMap::new());
-    }
-
-    /// Folds one delivered frame's latency into the pair's minimum.
-    fn note_lookahead(&mut self, from: NodeId, to: NodeId, latency: Span) {
-        if let Some(map) = self.lookahead.as_mut() {
-            map.entry((from, to)).and_modify(|m| *m = (*m).min(latency)).or_insert(latency);
-        }
-    }
-
-    /// Publishes the recorded lookahead bounds as
-    /// `{prefix}.lookahead.<from>.<to>.min_ps` counters; publishes nothing
-    /// when [`Network::enable_lookahead`] was never called.
-    pub fn publish_lookahead(&self, m: &mut rambda_metrics::MetricSet, prefix: &str) {
-        let Some(map) = self.lookahead.as_ref() else { return };
-        for ((from, to), latency) in map {
-            m.set(&format!("{prefix}.lookahead.{}.{}.min_ps", from.0, to.0), latency.as_ps());
-        }
-    }
-
-    /// The conservative a-priori lookahead bound for parallel execution:
-    /// the configured wire latency. Every delivery through this network
-    /// takes at least one wire traversal (serialization, queueing, and
-    /// fault retries only add to it), so a cross-partition event scheduled
-    /// now cannot land sooner than this — the safe-horizon bound the
-    /// conservative executor synchronizes on. The measured per-pair map
-    /// ([`Network::publish_lookahead`], profiling only) empirically
-    /// validates it: every recorded minimum is at least this span.
-    pub fn min_lookahead(&self) -> Span {
-        self.cfg.wire_latency
+        Network { cfg, egress: BTreeMap::new(), ingress: BTreeMap::new(), messages: 0, faults: None }
     }
 
     /// The active configuration.
@@ -189,7 +142,6 @@ impl Network {
         let on_wire = out + self.cfg.wire_latency;
         let arrived = Self::port(&mut self.ingress, &self.cfg, to).transfer(on_wire, framed).depart;
         self.messages += 1;
-        self.note_lookahead(from, to, arrived - at);
         arrived
     }
 
@@ -214,13 +166,11 @@ impl Network {
             Some(FaultKind::Corrupted) => {
                 let on_wire = out + self.cfg.wire_latency;
                 let arrived = Self::port(&mut self.ingress, &self.cfg, to).transfer(on_wire, framed).depart;
-                self.note_lookahead(from, to, arrived - at);
                 TxOutcome::Corrupted { at: arrived }
             }
             None => {
                 let on_wire = out + self.cfg.wire_latency;
                 let arrived = Self::port(&mut self.ingress, &self.cfg, to).transfer(on_wire, framed).depart;
-                self.note_lookahead(from, to, arrived - at);
                 TxOutcome::Delivered { at: arrived }
             }
         }
@@ -298,9 +248,6 @@ impl Network {
         self.egress.clear();
         self.ingress.clear();
         self.messages = 0;
-        if let Some(map) = self.lookahead.as_mut() {
-            map.clear();
-        }
         if let Some(p) = &self.faults {
             self.faults = Some(FaultPlan::new(p.config().clone()));
         }
@@ -424,56 +371,6 @@ mod tests {
         net.reset();
         let second = run(&mut net);
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn lookahead_records_the_pair_minimum_only_when_enabled() {
-        let mut off = Network::new(NetConfig::default());
-        off.send(SimTime::ZERO, NodeId(0), NodeId(1), 64);
-        let mut m = rambda_metrics::MetricSet::new();
-        off.publish_lookahead(&mut m, "net");
-        assert_eq!(m.counters().count(), 0, "disabled recorder publishes nothing");
-
-        let mut net = Network::new(NetConfig::default());
-        net.enable_lookahead();
-        // A large frame, then a minimal one: the minimum must win.
-        net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000);
-        let small = net.send(SimTime::from_us(500), NodeId(0), NodeId(1), 0);
-        let expect = (small - SimTime::from_us(500)).as_ps();
-        net.publish_lookahead(&mut m, "net");
-        assert_eq!(m.counter("net.lookahead.0.1.min_ps"), Some(expect));
-        assert!(expect >= NetConfig::default().wire_latency.as_ps());
-        // transmit() feeds the same recorder.
-        net.transmit(SimTime::ZERO, NodeId(1), NodeId(0), 64);
-        let mut m2 = rambda_metrics::MetricSet::new();
-        net.publish_lookahead(&mut m2, "net");
-        assert!(m2.counter("net.lookahead.1.0.min_ps").is_some());
-    }
-
-    #[test]
-    fn min_lookahead_bounds_every_measured_delivery() {
-        // The a-priori executor bound must hold against the empirical
-        // per-pair minima: no delivery beats one wire traversal.
-        let mut net = Network::new(NetConfig::default());
-        net.enable_lookahead();
-        assert_eq!(net.min_lookahead(), NetConfig::default().wire_latency);
-        for i in 0..8u64 {
-            let at = SimTime::from_us(i);
-            net.send(at, NodeId(0), NodeId(1), i * 512);
-            net.send(at, NodeId(1), NodeId(2), 0);
-            net.transmit(at, NodeId(2), NodeId(0), 64);
-        }
-        let mut m = rambda_metrics::MetricSet::new();
-        net.publish_lookahead(&mut m, "net");
-        let floor = net.min_lookahead().as_ps();
-        let mut pairs = 0;
-        for (name, min_ps) in m.counters() {
-            if name.ends_with(".min_ps") {
-                pairs += 1;
-                assert!(min_ps >= floor, "{name} = {min_ps} beats the wire latency {floor}");
-            }
-        }
-        assert_eq!(pairs, 3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! use the modelled footprint. Keys follow uniform or Zipf-0.9 popularity;
 //! workloads are 100 % GET or 50/50 GET/PUT.
 
-use rambda::{cpu::CpuServer, run_closed_loop_exec, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, Apu, ApuCtx, DataLocation};
 use rambda_des::{Server, SimRng, SimTime, Span};
 use rambda_fabric::{Network, NodeId};
@@ -238,12 +238,9 @@ pub fn run_cpu(testbed: &Testbed, params: &KvsParams) -> RunStats {
 }
 
 fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, true);
     let mut server = rambda::Machine::new(SERVER, testbed, true);
     let mut cpu = CpuServer::new(testbed.cpu.clone(), params.cores, params.batch);
@@ -257,8 +254,7 @@ fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunS
     let opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
     let put_value = vec![0xAB; params.value_bytes as usize];
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let op = mix.next_op(&mut rng);
         let fin = 'req: {
@@ -333,7 +329,6 @@ fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunS
         server.publish_metrics(resources, "server");
         cpu.publish_metrics(resources, "cpu");
         net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
         net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }
@@ -352,12 +347,9 @@ fn run_rambda_inner(
     location: DataLocation,
     ctx: SimCtx<'_>,
 ) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     // Adaptive DDIO: global DDIO off, TPH per region (all DRAM here).
     let mut client = rambda::Machine::new(CLIENT, testbed, false);
     let mut server = rambda::Machine::new(SERVER, testbed, false);
@@ -382,8 +374,7 @@ fn run_rambda_inner(
     let mut sq = Server::new(1);
     let sq_hold = Span::from_ns(165).mul_f64(1.0 / params.batch as f64) + Span::from_ns(5);
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let op = mix.next_op(&mut rng);
         let fin = 'req: {
@@ -466,7 +457,6 @@ fn run_rambda_inner(
         engine.publish_metrics(resources, "accel");
         resources.observe_server("sq", &sq);
         net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
         net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }
@@ -481,15 +471,12 @@ pub fn run_smartnic(testbed: &Testbed, params: &KvsParams) -> RunStats {
 }
 
 fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     // The Smart NIC path models raw Ethernet sends (its RPC transport hides
     // recovery in firmware), so only degrade windows of the fault plan
     // reach it — drop/corrupt verdicts apply to RC-QP `transmit`s.
     let mut net = Network::new(testbed.net.clone());
     net.install_faults(faults);
-    if profile {
-        net.enable_lookahead();
-    }
     let mut client = rambda::Machine::new(CLIENT, testbed, true);
     let mut server = rambda::Machine::new(SERVER, testbed, true);
     let mut nic = SmartNic::new(testbed.smartnic.clone());
@@ -507,8 +494,7 @@ fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) ->
     let put_value = vec![0xAB; params.value_bytes as usize];
     let scope_names = params.scope_names();
 
-    let lookahead = net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut tr = tracer.observe(rec, at);
         let op = mix.next_op(&mut rng);
         // Client posts; request terminates at the Smart NIC (no host PCIe).
@@ -562,7 +548,6 @@ fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) ->
         nic.publish_metrics(resources, "smartnic");
         nic_mem.publish_metrics(resources, "nic_mem");
         net.publish_metrics(resources, "net");
-        net.publish_lookahead(resources, "net");
         net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }

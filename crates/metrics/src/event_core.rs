@@ -1,13 +1,12 @@
 //! The `event_core` report section: deterministic scheduler telemetry.
 //!
-//! The DES event queue counts every push and pop it performs — per event
-//! kind, per wheel tier — plus the cumulative sim-time dwell between enqueue
-//! and fire. [`EventCoreSummary`] freezes those counters (with the pending
-//! backlog at capture time) into a serializable section whose conservation
-//! identities `RunReport::validate_event_core` checks: dispatches equal
-//! enqueues minus cancellations minus the pending backlog, tier hits
-//! telescope to the total enqueues, and the per-kind breakdown partitions
-//! both sides exactly.
+//! The DES event queue counts every push and pop it performs, per event
+//! kind, plus the cumulative sim-time dwell between enqueue and fire.
+//! [`EventCoreSummary`] freezes those counters (with the pending backlog at
+//! capture time) into a serializable section whose conservation identities
+//! `RunReport::validate_event_core` checks: dispatches equal enqueues minus
+//! the pending backlog, and the per-kind breakdown partitions both sides
+//! exactly.
 
 use rambda_des::EventCoreStats;
 
@@ -35,32 +34,10 @@ pub struct EventCoreSummary {
     pub enqueued: u64,
     /// Total events fired.
     pub dispatched: u64,
-    /// Total events cancelled before firing.
-    pub cancelled: u64,
     /// Events still pending when the summary was captured.
     pub pending: u64,
     /// Cumulative enqueue→fire sim-time dwell across all events, picoseconds.
     pub dwell_ps: u64,
-    /// Pushes routed into the already-drained time range.
-    pub drain_hits: u64,
-    /// Pushes routed into the near wheel.
-    pub near_hits: u64,
-    /// Pushes routed into the far overflow.
-    pub far_hits: u64,
-    /// Wheel re-anchor events.
-    pub reanchors: u64,
-    /// Tickets redistributed from the far overflow across all re-anchors.
-    pub redistributed: u64,
-    /// Partitions the conservative executor sharded clients into (0 when
-    /// the run was serial).
-    pub partitions: u64,
-    /// Lookahead windows the conservative executor opened.
-    pub windows: u64,
-    /// Window barriers crossed — equal to `windows` by construction.
-    pub barriers: u64,
-    /// Partition-window pairs that still held events past the horizon when
-    /// a barrier closed; at most `windows * partitions`.
-    pub horizon_stalls: u64,
     /// Per-kind breakdown, in registration order.
     pub kinds: Vec<EventKindSummary>,
 }
@@ -72,18 +49,8 @@ impl EventCoreSummary {
         EventCoreSummary {
             enqueued: stats.enqueued,
             dispatched: stats.dispatched,
-            cancelled: stats.cancelled,
             pending,
             dwell_ps: stats.dwell_ps,
-            drain_hits: stats.drain_hits,
-            near_hits: stats.near_hits,
-            far_hits: stats.far_hits,
-            reanchors: stats.reanchors,
-            redistributed: stats.redistributed,
-            partitions: 0,
-            windows: 0,
-            barriers: 0,
-            horizon_stalls: 0,
             kinds: stats
                 .kinds
                 .iter()
@@ -97,36 +64,14 @@ impl EventCoreSummary {
         }
     }
 
-    /// Records the conservative executor's window/barrier accounting. This
-    /// crate cannot see `rambda`'s `ExecStats` (the dependency points the
-    /// other way), so the four counters arrive as plain values; all zero
-    /// means the run was serial.
-    pub fn with_exec(mut self, partitions: u64, windows: u64, barriers: u64, horizon_stalls: u64) -> Self {
-        self.partitions = partitions;
-        self.windows = windows;
-        self.barriers = barriers;
-        self.horizon_stalls = horizon_stalls;
-        self
-    }
-
     /// Publishes every telemetry value as a counter under `prefix`, so the
     /// analyzer's R9 identity-coverage rule ties each one to
     /// `validate_event_core`.
     pub fn publish_metrics(&self, m: &mut MetricSet, prefix: &str) {
         m.set(&format!("{prefix}.enqueued"), self.enqueued);
         m.set(&format!("{prefix}.dispatched"), self.dispatched);
-        m.set(&format!("{prefix}.cancelled"), self.cancelled);
         m.set(&format!("{prefix}.pending"), self.pending);
         m.set(&format!("{prefix}.dwell_ps"), self.dwell_ps);
-        m.set(&format!("{prefix}.tier.drain_hits"), self.drain_hits);
-        m.set(&format!("{prefix}.tier.near_hits"), self.near_hits);
-        m.set(&format!("{prefix}.tier.far_hits"), self.far_hits);
-        m.set(&format!("{prefix}.tier.reanchors"), self.reanchors);
-        m.set(&format!("{prefix}.tier.redistributed"), self.redistributed);
-        m.set(&format!("{prefix}.exec.partitions"), self.partitions);
-        m.set(&format!("{prefix}.exec.windows"), self.windows);
-        m.set(&format!("{prefix}.exec.barriers"), self.barriers);
-        m.set(&format!("{prefix}.exec.horizon_stalls"), self.horizon_stalls);
         for k in &self.kinds {
             let base = format!("{prefix}.kind.{}", k.name);
             m.set(&format!("{base}.pushes"), k.pushes);
@@ -145,25 +90,11 @@ impl EventCoreSummary {
             o.push("held_ps", Json::U64(k.held_ps));
             kinds.push(&k.name, o);
         }
-        let mut tier = Json::obj();
-        tier.push("drain_hits", Json::U64(self.drain_hits));
-        tier.push("near_hits", Json::U64(self.near_hits));
-        tier.push("far_hits", Json::U64(self.far_hits));
-        tier.push("reanchors", Json::U64(self.reanchors));
-        tier.push("redistributed", Json::U64(self.redistributed));
-        let mut exec = Json::obj();
-        exec.push("partitions", Json::U64(self.partitions));
-        exec.push("windows", Json::U64(self.windows));
-        exec.push("barriers", Json::U64(self.barriers));
-        exec.push("horizon_stalls", Json::U64(self.horizon_stalls));
         let mut out = Json::obj();
         out.push("enqueued", Json::U64(self.enqueued));
         out.push("dispatched", Json::U64(self.dispatched));
-        out.push("cancelled", Json::U64(self.cancelled));
         out.push("pending", Json::U64(self.pending));
         out.push("dwell_ps", Json::U64(self.dwell_ps));
-        out.push("tier", tier);
-        out.push("exec", exec);
         out.push("kinds", kinds);
         out
     }
@@ -195,22 +126,6 @@ mod tests {
         s.publish_metrics(&mut m, "event_core");
         assert_eq!(m.counter("event_core.enqueued"), Some(2));
         assert_eq!(m.counter("event_core.kind.serve.pushes"), Some(1));
-        assert_eq!(m.counter("event_core.tier.near_hits"), Some(2));
-        // Serial by default: the exec block publishes all-zero.
-        assert_eq!(m.counter("event_core.exec.partitions"), Some(0));
-    }
-
-    #[test]
-    fn with_exec_records_and_publishes_parallel_counters() {
-        let q: EventQueue<u8> = EventQueue::new();
-        let s = EventCoreSummary::of(q.stats(), 0).with_exec(2, 7, 7, 3);
-        let mut m = MetricSet::new();
-        s.publish_metrics(&mut m, "event_core");
-        assert_eq!(m.counter("event_core.exec.partitions"), Some(2));
-        assert_eq!(m.counter("event_core.exec.windows"), Some(7));
-        assert_eq!(m.counter("event_core.exec.barriers"), Some(7));
-        assert_eq!(m.counter("event_core.exec.horizon_stalls"), Some(3));
-        let json = s.to_json().render();
-        assert!(json.contains("\"exec\"") && json.contains("\"horizon_stalls\""), "{json}");
+        assert_eq!(m.counter("event_core.pending"), Some(1));
     }
 }

@@ -257,12 +257,6 @@ pub struct RunReport {
     /// sketches, SLO digest), attached via [`RunReport::attach_scopes`]
     /// when the run enabled scoping.
     pub scopes: Option<ScopesSummary>,
-    /// Execution-mode label (`"serial"` or `"conservative(N)"`), set by the
-    /// builder. Deliberately *not* serialized by [`RunReport::to_json`]: the
-    /// conservative executor's contract is byte-identical report JSON, so
-    /// the mode lives on the struct (and in the profile-only `event_core`
-    /// exec counters), never in the artifact being diffed.
-    pub execution: String,
 }
 
 impl RunReport {
@@ -291,7 +285,6 @@ impl RunReport {
             timeline: rec.timeline_summary().cloned(),
             event_core: None,
             scopes: None,
-            execution: "serial".to_string(),
         };
         report.publish_utilization();
         report
@@ -590,15 +583,9 @@ impl RunReport {
     /// Checks the event-core conservation identities (analyzer rule R9
     /// keeps this list in sync with the `event_core` publisher):
     ///
-    /// - `dispatched == enqueued − cancelled − pending`: every scheduled
-    ///   event is fired, cancelled, or still pending — none vanish;
-    /// - the tier hits telescope to the total pushes
-    ///   (`drain_hits + near_hits + far_hits == enqueued`), and only
-    ///   tickets that overflowed to the far tier can be redistributed;
+    /// - `dispatched == enqueued − pending`: every scheduled event is fired
+    ///   or still pending — none vanish;
     /// - the per-kind breakdown partitions pushes, pops, and dwell exactly;
-    /// - conservative-executor accounting holds: `barriers == windows`,
-    ///   `horizon_stalls <= windows * partitions`, and a serial run
-    ///   (`partitions == 0`) reports no windows or stalls;
     /// - the counters published under the `event_core` prefix mirror the
     ///   structured section value for value.
     ///
@@ -606,24 +593,10 @@ impl RunReport {
     /// reduces to `Ok(())`.
     fn validate_event_core(&self) -> Result<(), String> {
         let Some(ec) = &self.event_core else { return Ok(()) };
-        let accounted = ec.cancelled + ec.pending;
-        if accounted > ec.enqueued || ec.dispatched != ec.enqueued - accounted {
+        if ec.pending > ec.enqueued || ec.dispatched != ec.enqueued - ec.pending {
             return Err(format!(
-                "event core dispatched {} events, but {} enqueued − {} cancelled − {} pending",
-                ec.dispatched, ec.enqueued, ec.cancelled, ec.pending
-            ));
-        }
-        let tier_hits = ec.drain_hits + ec.near_hits + ec.far_hits;
-        if tier_hits != ec.enqueued {
-            return Err(format!(
-                "event-core tier hits ({} drain + {} near + {} far) do not telescope to {} enqueues",
-                ec.drain_hits, ec.near_hits, ec.far_hits, ec.enqueued
-            ));
-        }
-        if ec.redistributed > ec.far_hits {
-            return Err(format!(
-                "event core redistributed {} tickets but only {} overflowed to the far tier",
-                ec.redistributed, ec.far_hits
+                "event core dispatched {} events, but {} enqueued − {} pending",
+                ec.dispatched, ec.enqueued, ec.pending
             ));
         }
         let pushes: u64 = ec.kinds.iter().map(|k| k.pushes).sum();
@@ -636,44 +609,13 @@ impl RunReport {
                 ec.enqueued, ec.dispatched, ec.dwell_ps
             ));
         }
-        // Conservative-executor accounting: one barrier closes each window,
-        // and a stall is a (partition, window) pair — a serial run
-        // (partitions == 0) must report no windows at all.
-        if ec.barriers != ec.windows {
-            return Err(format!(
-                "event core crossed {} barriers for {} lookahead windows",
-                ec.barriers, ec.windows
-            ));
-        }
-        if ec.horizon_stalls > ec.windows.saturating_mul(ec.partitions) {
-            return Err(format!(
-                "event core stalled {} times across {} windows × {} partitions",
-                ec.horizon_stalls, ec.windows, ec.partitions
-            ));
-        }
-        if ec.partitions == 0 && (ec.windows != 0 || ec.horizon_stalls != 0) {
-            return Err(format!(
-                "serial run (0 partitions) reports {} windows / {} stalls",
-                ec.windows, ec.horizon_stalls
-            ));
-        }
         // The published counters must mirror the structured section.
         let counter = |name: &str| self.resources.counter(name).unwrap_or(0);
-        let mirror: [(&str, u64); 14] = [
+        let mirror: [(&str, u64); 4] = [
             ("event_core.enqueued", ec.enqueued),
             ("event_core.dispatched", ec.dispatched),
-            ("event_core.cancelled", ec.cancelled),
             ("event_core.pending", ec.pending),
             ("event_core.dwell_ps", ec.dwell_ps),
-            ("event_core.tier.drain_hits", ec.drain_hits),
-            ("event_core.tier.near_hits", ec.near_hits),
-            ("event_core.tier.far_hits", ec.far_hits),
-            ("event_core.tier.reanchors", ec.reanchors),
-            ("event_core.tier.redistributed", ec.redistributed),
-            ("event_core.exec.partitions", ec.partitions),
-            ("event_core.exec.windows", ec.windows),
-            ("event_core.exec.barriers", ec.barriers),
-            ("event_core.exec.horizon_stalls", ec.horizon_stalls),
         ];
         for (name, expect) in mirror {
             if counter(name) != expect {
@@ -1042,18 +984,8 @@ mod tests {
         let ec = EventCoreSummary {
             enqueued: 10,
             dispatched: 9,
-            cancelled: 0,
             pending: 1,
             dwell_ps: 500,
-            drain_hits: 2,
-            near_hits: 7,
-            far_hits: 1,
-            reanchors: 1,
-            redistributed: 1,
-            partitions: 2,
-            windows: 3,
-            barriers: 3,
-            horizon_stalls: 4,
             kinds: vec![EventKindSummary { name: "event".to_string(), pushes: 10, pops: 9, held_ps: 500 }],
         };
         report.attach_event_core(ec);
@@ -1073,26 +1005,10 @@ mod tests {
         assert!(err.contains("dispatched"), "{err}");
         report.event_core.as_mut().unwrap().pending = 1;
 
-        // Tier hits must telescope to the enqueues.
-        report.event_core.as_mut().unwrap().near_hits = 6;
+        // The per-kind breakdown must partition the totals.
+        report.event_core.as_mut().unwrap().kinds[0].pops = 8;
         let err = report.validate().unwrap_err();
-        assert!(err.contains("telescope"), "{err}");
-        report.event_core.as_mut().unwrap().near_hits = 7;
-
-        // Conservative-executor identities: barriers track windows one to
-        // one, stalls are bounded by windows × partitions, and a serial run
-        // (0 partitions) reports no windows.
-        report.event_core.as_mut().unwrap().barriers = 2;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("barriers"), "{err}");
-        report.event_core.as_mut().unwrap().barriers = 3;
-        report.event_core.as_mut().unwrap().horizon_stalls = 7;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("stalled"), "{err}");
-        report.event_core.as_mut().unwrap().horizon_stalls = 0;
-        report.event_core.as_mut().unwrap().partitions = 0;
-        let err = report.validate().unwrap_err();
-        assert!(err.contains("serial run"), "{err}");
+        assert!(err.contains("kinds partition"), "{err}");
     }
 
     /// Builds a fully-scoped report the way `SimBuilder::run` does: trace

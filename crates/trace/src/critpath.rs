@@ -2,21 +2,16 @@
 //!
 //! Every traced request is a chain of leg spans, each classified onto a
 //! resource [`Track`]. Within one request the legs are serial (they
-//! partition the issue→completion interval), so the interesting parallelism
-//! question is *across* resources: if the DES were partitioned so each
-//! track ran on its own logical process, the run could finish no faster
-//! than the busiest track. The tracer therefore accumulates, online and
-//! deterministically:
+//! partition the issue→completion interval), so summing them per track
+//! attributes the run's simulated time to the resources that spent it. The
+//! tracer accumulates, online and deterministically:
 //!
 //! * per-track busy work (the sum of span durations on that track),
 //! * total busy work across all tracks,
 //! * per-request durations (count + longest).
 //!
-//! The whole-run **critical path** is the busiest track's work sum, and the
-//! **parallelism ratio** is total work divided by that — the ideal-speedup
-//! upper bound a parallel DES could reach with per-resource partitioning
-//! (DESIGN.md §14). A ratio of 1.0 means the run is serial on one
-//! resource; anything above it is exploitable concurrency.
+//! The whole-run **critical path** is the busiest track's work sum: the
+//! resource that dominates the run's sim time (DESIGN.md §14).
 //!
 //! Accumulation happens inside the tracer's existing enabled-buffer guard,
 //! so [`crate::Tracer::disabled`] runs skip it entirely and the fast-path
@@ -91,8 +86,8 @@ pub struct TrackWork {
 pub struct CriticalPathSummary {
     /// Total busy work across every span, picoseconds.
     pub total_work_ps: u64,
-    /// The busiest track's work sum — the run's critical path under
-    /// per-resource partitioning, picoseconds.
+    /// The busiest track's work sum — the run's critical path,
+    /// picoseconds.
     pub critical_path_ps: u64,
     /// Total leg spans recorded.
     pub spans: u64,
@@ -105,17 +100,6 @@ pub struct CriticalPathSummary {
 }
 
 impl CriticalPathSummary {
-    /// Total work ÷ critical path: the ideal-speedup upper bound for a
-    /// parallel DES partitioned by resource. 1.0 when the run recorded no
-    /// work at all.
-    pub fn parallelism_ratio(&self) -> f64 {
-        if self.critical_path_ps == 0 {
-            1.0
-        } else {
-            self.total_work_ps as f64 / self.critical_path_ps as f64
-        }
-    }
-
     /// Renders the analysis as a deterministic JSON value. Tracks with no
     /// spans are omitted so the section stays compact.
     pub fn to_json(&self) -> Json {
@@ -132,7 +116,6 @@ impl CriticalPathSummary {
         let mut out = Json::obj();
         out.push("total_work_ps", Json::U64(self.total_work_ps));
         out.push("critical_path_ps", Json::U64(self.critical_path_ps));
-        out.push("parallelism_ratio", Json::F64(self.parallelism_ratio()));
         out.push("spans", Json::U64(self.spans));
         out.push("requests", Json::U64(self.requests));
         out.push("longest_request_ps", Json::U64(self.longest_request_ps));
@@ -153,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn five_span_dag_has_known_critical_path_and_ratio() {
+    fn five_span_dag_has_known_critical_path() {
         let mut rec = StageRecorder::active();
         let mut tracer = Tracer::flight_recorder();
 
@@ -171,10 +154,9 @@ mod tests {
 
         let cp = tracer.critical_path().expect("enabled tracer analyzes");
         // Track sums: fabric 50, accel 50, coherence 30, mem 10 → total 140,
-        // critical path 50 (ties on fabric/accel), ratio exactly 2.8.
+        // critical path 50 (ties on fabric/accel).
         assert_eq!(cp.total_work_ps, 140_000);
         assert_eq!(cp.critical_path_ps, 50_000);
-        assert_eq!(cp.parallelism_ratio(), 2.8);
         assert_eq!(cp.spans, 5);
         assert_eq!(cp.requests, 2);
         assert_eq!(cp.longest_request_ps, 80_000);
@@ -182,7 +164,7 @@ mod tests {
         assert_eq!((fabric.busy_ps, fabric.spans), (50_000, 2));
 
         let json = cp.to_json().render();
-        assert!(json.contains("\"parallelism_ratio\": 2.8"), "{json}");
+        assert!(json.contains("\"critical_path_ps\": 50000"), "{json}");
         assert!(!json.contains("smartnic"), "empty tracks are omitted: {json}");
     }
 
@@ -197,7 +179,6 @@ mod tests {
         let cp = tracer.critical_path().expect("enabled");
         assert_eq!(cp.total_work_ps, 20_000);
         assert_eq!(cp.critical_path_ps, 20_000);
-        assert_eq!(cp.parallelism_ratio(), 1.0);
         assert_eq!((cp.spans, cp.requests), (1, 1));
         assert_eq!(cp.longest_request_ps, 20_000);
     }
@@ -213,10 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_enabled_tracer_has_unit_ratio() {
+    fn empty_enabled_tracer_reports_zero_work() {
         let tracer = Tracer::flight_recorder();
         let cp = tracer.critical_path().expect("enabled");
         assert_eq!(cp.total_work_ps, 0);
-        assert_eq!(cp.parallelism_ratio(), 1.0);
+        assert_eq!(cp.critical_path_ps, 0);
     }
 }

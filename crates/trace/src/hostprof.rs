@@ -2,7 +2,7 @@
 //!
 //! Everything else this crate records is a pure function of the simulation
 //! seed. [`HostProf`] is deliberately not: it measures where *host* time
-//! goes while the simulator runs, so `cargo xtask profile` can say which
+//! goes while the simulator runs, so `report --profile` can say which
 //! design or handler burns the wall clock. To keep the simulation crates
 //! free of wall-clock calls (analyzer rule R2), the clock is injected as a
 //! closure returning monotonic nanoseconds — the `report` binary passes

@@ -6,11 +6,7 @@
 //! * the report's `event_core` section (scheduler telemetry, already
 //!   validated by `RunReport::validate`),
 //! * the tracer's [`crate::Tracer::critical_path`] analysis (per-track
-//!   work, parallelism ratio),
-//! * the per-machine-pair lookahead bounds the run's network published as
-//!   `*.lookahead.<from>.<to>.min_ps` resource counters — the minimum
-//!   cross-partition latency a conservative parallel DES could exploit
-//!   (ROADMAP item 2).
+//!   busy work).
 //!
 //! The wall-clock side ([`crate::HostProf`]) is deliberately *not* here:
 //! its folded-stack export is a separate, git-ignored artifact.
@@ -34,23 +30,7 @@ pub fn profile_json(report: &RunReport, tracer: &Tracer) -> String {
     if let Some(cp) = tracer.critical_path() {
         out.push("critical_path", cp.to_json());
     }
-    out.push("lookahead", lookahead_section(report));
     out.render()
-}
-
-/// Collects the `*.lookahead.<from>.<to>.min_ps` resource counters into a
-/// `"<from>-><to>": min_ps` object (empty when the run had no network or
-/// profiling was off). Counters arrive name-sorted from the `MetricSet`,
-/// so the object is deterministic.
-fn lookahead_section(report: &RunReport) -> Json {
-    let mut pairs = Json::obj();
-    for (name, value) in report.resources.counters() {
-        let Some(rest) = name.split_once(".lookahead.").map(|(_, r)| r) else { continue };
-        let Some(pair) = rest.strip_suffix(".min_ps") else { continue };
-        let Some((from, to)) = pair.split_once('.') else { continue };
-        pairs.push(&format!("{from}->{to}"), Json::U64(value));
-    }
-    pairs
 }
 
 #[cfg(test)]
@@ -60,12 +40,10 @@ mod tests {
     use rambda_metrics::{HistSummary, MetricSet, StageRecorder};
 
     #[test]
-    fn profile_document_is_deterministic_and_scrapes_lookahead() {
+    fn profile_document_is_deterministic() {
         let rec0 = StageRecorder::active();
         let mut resources = MetricSet::new();
-        resources.set("net.lookahead.0.1.min_ps", 850_000);
-        resources.set("net.lookahead.1.0.min_ps", 850_000);
-        resources.set("net.c2s.bytes", 4096); // not a lookahead row
+        resources.set("net.c2s.bytes", 4096);
         let report = RunReport::new(
             "toy",
             7,
@@ -86,8 +64,7 @@ mod tests {
         let a = profile_json(&report, &tracer);
         let b = profile_json(&report, &tracer);
         assert_eq!(a, b);
-        assert!(a.contains("\"0->1\": 850000"), "{a}");
-        assert!(!a.contains("c2s"), "non-lookahead counters stay out: {a}");
+        assert!(!a.contains("c2s"), "resource counters stay out: {a}");
         assert!(a.contains("\"critical_path\""), "{a}");
 
         // Disabled tracer: document still renders, minus the section.

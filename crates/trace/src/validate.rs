@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use rambda_metrics::RunReport;
+use rambda_metrics::{MetricSet, RunReport};
 
 use crate::event::TraceEvent;
 use crate::tracer::Tracer;
@@ -139,11 +139,16 @@ impl Tracer {
             Some(_) => {}
         }
         let finals: BTreeMap<&str, u64> = self.final_counters().collect();
+        // `event_core.*` and the scope-section mirrors are attached after
+        // the run's final sample (`SimBuilder::run`); their own mirror
+        // identities are enforced by `RunReport::validate_event_core` and
+        // `validate_scopes`.
+        let mut scope_mirrors = MetricSet::new();
+        if let Some(scopes) = &report.scopes {
+            scopes.publish_metrics(&mut scope_mirrors);
+        }
         for (name, value) in report.resources.counters() {
-            // `event_core.*` counters are attached by the profiler after
-            // the run's final sample (`SimBuilder::run`); their own mirror
-            // identity is enforced by `RunReport::validate_event_core`.
-            if name.starts_with("event_core.") {
+            if name.starts_with("event_core.") || scope_mirrors.counter(name).is_some() {
                 continue;
             }
             if finals.get(name).copied() != Some(value) {
@@ -164,7 +169,7 @@ impl Tracer {
 mod tests {
     use super::*;
     use rambda_des::{Histogram, SimTime, Span};
-    use rambda_metrics::{HistSummary, MetricSet, StageRecorder};
+    use rambda_metrics::{HistSummary, StageRecorder};
 
     /// Runs a tiny synthetic "runner" with recorder + tracer in lockstep
     /// and assembles the matching report.

@@ -6,7 +6,7 @@
 //! Transactions are issued serially by the client (window 1), as in the
 //! paper, so the latency reduction also reflects throughput.
 
-use rambda::{run_closed_loop, run_closed_loop_exec, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, DataLocation};
 use rambda_des::{SimRng, SimTime, Span};
 use rambda_fabric::{Network, NodeId};
@@ -21,10 +21,10 @@ const CLIENT: NodeId = NodeId(0);
 const PORT0: NodeId = NodeId(1);
 const PORT1: NodeId = NodeId(2);
 
-/// Per-partition RNG stream salts. Each simulated machine draws from its own
+/// Per-machine RNG stream salts. Each simulated machine draws from its own
 /// deterministically salted `SimRng` stream (`SimRng::stream(seed, salt)`),
-/// so partitioning the world across executor workers cannot entangle one
-/// machine's randomness with another's dispatch order.
+/// so one machine's draws never depend on how many values another machine
+/// consumed.
 const CLIENT_WORKLOAD_SALT: u64 = 0xC0;
 const CLIENT_ROUTE_SALT: u64 = 0xC1;
 const PORT0_ACCEL_SALT: u64 = 0xA0;
@@ -184,14 +184,11 @@ pub fn run_hyperloop(testbed: &Testbed, params: &TxnParams) -> RunStats {
 }
 
 fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut w = TxnWorld::new(testbed, params);
     let mut workload_rng = SimRng::stream(params.seed, CLIENT_WORKLOAD_SALT);
     let mut route_rng = SimRng::stream(params.seed, CLIENT_ROUTE_SALT);
     w.net.install_faults(faults);
-    if profile {
-        w.net.enable_lookahead();
-    }
     let nvm0 = w.port0.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
     let nvm1 = w.port1.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
     let spec = params.spec;
@@ -199,8 +196,7 @@ fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
     let opts = WriteOpts { post: PostPath::HostMmio, batch: 1, flags: PostFlags::SIGNALED };
     let scope_names = params.scope_names();
 
-    let lookahead = w.net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut trace = tracer.observe(rec, at);
         let (reads, writes) = w.sample_txn(&spec, params.value_bytes, &mut workload_rng);
         let home = scope_of(&reads, &writes);
@@ -287,7 +283,6 @@ fn run_hyperloop_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
         w.port0.publish_metrics(resources, "port0");
         w.port1.publish_metrics(resources, "port1");
         w.net.publish_metrics(resources, "net");
-        w.net.publish_lookahead(resources, "net");
         w.net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }
@@ -304,16 +299,13 @@ pub fn run_rambda_tx(testbed: &Testbed, params: &TxnParams) -> RunStats {
 }
 
 fn run_rambda_tx_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, profile, scopes, exec } = ctx;
+    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     let mut w = TxnWorld::new(testbed, params);
     let mut workload_rng = SimRng::stream(params.seed, CLIENT_WORKLOAD_SALT);
     let mut route_rng = SimRng::stream(params.seed, CLIENT_ROUTE_SALT);
     let mut accel0_rng = SimRng::stream(params.seed, PORT0_ACCEL_SALT);
     let mut accel1_rng = SimRng::stream(params.seed, PORT1_ACCEL_SALT);
     w.net.install_faults(faults);
-    if profile {
-        w.net.enable_lookahead();
-    }
     // Request rings live in NVM and double as the redo log (Sec. IV-B).
     let ring0 = w.port0.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
     let ring1 = w.port1.rnic.register_region(MrInfo::adaptive(MemKind::Nvm));
@@ -325,8 +317,7 @@ fn run_rambda_tx_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
     let accel_opts = WriteOpts { post: PostPath::AccelMmio, batch: 1, flags: PostFlags::NONE };
     let scope_names = params.scope_names();
 
-    let lookahead = w.net.min_lookahead();
-    let stats = run_closed_loop_exec(&params.driver(), exec, lookahead, |_c, at| {
+    let stats = run_closed_loop(&params.driver(), |_c, at| {
         let mut trace = tracer.observe(rec, at);
         let (reads, writes) = w.sample_txn(&spec, params.value_bytes, &mut workload_rng);
         let home = scope_of(&reads, &writes);
@@ -436,7 +427,6 @@ fn run_rambda_tx_inner(testbed: &Testbed, params: &TxnParams, ctx: SimCtx<'_>) -
         accel0.publish_metrics(resources, "accel0");
         accel1.publish_metrics(resources, "accel1");
         w.net.publish_metrics(resources, "net");
-        w.net.publish_lookahead(resources, "net");
         w.net.publish_scoped(scopes, "net");
         tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
     }

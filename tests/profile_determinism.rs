@@ -1,8 +1,8 @@
 //! The deterministic profiler is a pure function of the seed: same-seed
 //! runs render byte-identical profile JSON (mirroring `determinism.rs` for
-//! reports), the event-core identities validate, the measured parallelism
-//! ratio is exploitable (> 1.0) on the paper's two headline designs, and
-//! profiling never perturbs the simulated run it observes.
+//! reports), the event-core identities validate, the driver's event
+//! accounting matches its closed loop exactly on the paper's two headline
+//! designs, and profiling never perturbs the simulated run it observes.
 
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
@@ -13,15 +13,14 @@ use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
 
 /// Runs `design` once under the profiler and renders its profile JSON.
-fn profiled(design: Design) -> (RunReport, String, f64) {
+fn profiled(design: Design) -> (RunReport, String) {
     let tb = Testbed::default();
     let mut tracer = Tracer::flight_recorder();
     let report = SimBuilder::new(design).config(&tb).tracer(&mut tracer).profile().run();
     report.validate().expect("profiled report validates its event-core identities");
     tracer.cross_validate(&report).expect("trace agrees with the report");
-    let ratio = tracer.critical_path().expect("enabled tracer accumulates the critical path");
     let json = profile_json(&report, &tracer);
-    (report, json, ratio.parallelism_ratio())
+    (report, json)
 }
 
 fn kvs_design() -> Design {
@@ -35,34 +34,40 @@ fn txn_design() -> Design {
 #[test]
 fn same_seed_profiles_are_byte_identical() {
     for design in [kvs_design, txn_design] {
-        let (_, a, _) = profiled(design());
-        let (_, b, _) = profiled(design());
+        let (_, a) = profiled(design());
+        let (_, b) = profiled(design());
         assert_eq!(a, b, "same-seed profile JSON must be byte-identical");
     }
 }
 
 #[test]
-fn headline_designs_show_exploitable_parallelism() {
-    for (name, design) in [("kvs.rambda", kvs_design()), ("txn.rambda_tx", txn_design())] {
-        let (report, json, ratio) = profiled(design);
-        assert!(
-            ratio > 1.0 && ratio.is_finite(),
-            "{name}: parallelism ratio {ratio} must be finite and > 1.0"
-        );
+fn driver_event_accounting_matches_the_closed_loop() {
+    let kvs = KvsParams::quick();
+    let txn = TxnParams::quick(TxnSpec::read_write(64));
+    // (name, design, clients × window, requests); txn issues serially.
+    let cases = [
+        ("kvs.rambda", kvs_design(), kvs.clients as u64 * kvs.window as u64, kvs.requests),
+        ("txn.rambda_tx", txn_design(), 1, txn.txns),
+    ];
+    for (name, design, window, requests) in cases {
+        let (report, json) = profiled(design);
         let ec = report.event_core.as_ref().expect("profiled report carries event-core telemetry");
-        assert!(ec.dispatched > 0, "{name}: the scheduler dispatched work");
+        let pushes = |kind: &str| {
+            ec.kinds
+                .iter()
+                .find(|k| k.name == kind)
+                .unwrap_or_else(|| panic!("{name}: no {kind} kind"))
+                .pushes
+        };
+        // Every client's window is primed once; every later request is
+        // re-armed by a completion; every scheduled event fires.
+        assert_eq!(pushes("prime"), window.min(requests), "{name}: prime pushes");
+        assert_eq!(pushes("prime") + pushes("serve"), requests, "{name}: one push per request");
+        assert_eq!(ec.enqueued, requests, "{name}: the driver is the queue's only client");
+        assert_eq!(ec.dispatched, ec.enqueued, "{name}: every event fires");
+        assert_eq!(ec.pending, 0, "{name}: the queue drains");
         assert!(json.contains("\"event_core\""), "{name}: profile embeds the event-core section");
         assert!(json.contains("\"critical_path\""), "{name}: profile embeds the critical path");
-        // Per-machine-pair lookahead bounds (the conservative parallel-DES
-        // synchronization horizon) are present and positive.
-        let lookahead: Vec<u64> = report
-            .resources
-            .counters()
-            .filter(|(n, _)| n.contains(".lookahead.") && n.ends_with(".min_ps"))
-            .map(|(_, v)| v)
-            .collect();
-        assert!(!lookahead.is_empty(), "{name}: lookahead bounds are published");
-        assert!(lookahead.iter().all(|&ps| ps > 0), "{name}: lookahead bounds are positive");
     }
 }
 
@@ -70,13 +75,12 @@ fn headline_designs_show_exploitable_parallelism() {
 fn profiling_never_perturbs_the_run_it_observes() {
     let tb = Testbed::default();
     let plain = SimBuilder::new(kvs_design()).config(&tb).run();
-    let (profiled_report, _, _) = profiled(kvs_design());
+    let (profiled_report, _) = profiled(kvs_design());
     assert_eq!(plain.completed, profiled_report.completed);
     assert_eq!(plain.elapsed_ps, profiled_report.elapsed_ps);
     assert_eq!(plain.latency.p99_ps, profiled_report.latency.p99_ps);
     // The unprofiled report stays exactly as before the profiler existed:
-    // no event-core section, no lookahead counters — goldens are safe.
+    // no event-core section — goldens are safe.
     assert!(plain.event_core.is_none());
-    assert!(plain.resources.counters().all(|(n, _)| !n.contains(".lookahead.")));
     assert!(plain.resources.counters().all(|(n, _)| !n.starts_with("event_core.")));
 }

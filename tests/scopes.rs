@@ -15,6 +15,7 @@ use rambda_des::{Histogram, SimTime, Span};
 use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::{RunReport, ScopeConfig, ScopedMetrics, Timeline};
+use rambda_trace::Tracer;
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
@@ -98,6 +99,22 @@ fn unscoped_golden_still_matches_after_a_scoped_run() {
     let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("goldens/kvs_rambda.json");
     let snapshot = fs::read_to_string(&golden).expect("committed golden exists");
     assert_eq!(bare.to_json_string(), snapshot, "unscoped report drifted from its golden");
+}
+
+#[test]
+fn traced_scoped_run_cross_validates_and_tampering_still_fails() {
+    let mut tracer = Tracer::flight_recorder();
+    let mut report = SimBuilder::new(Design::kvs_rambda(KvsParams::quick(), DataLocation::HostDram))
+        .config(&Testbed::default())
+        .tracer(&mut tracer)
+        .scopes(ScopeConfig::default())
+        .run();
+    report.validate().expect("traced scoped report validates");
+    tracer.cross_validate(&report).expect("trace agrees with a scoped report");
+    let requests = report.resources.counter("scope.requests").expect("scope mirror published");
+    report.resources.set("scope.requests", requests + 1);
+    let err = report.validate().expect_err("a tampered scope mirror must fail validation");
+    assert!(err.contains("scope.requests"), "{err}");
 }
 
 proptest! {

@@ -1,10 +1,9 @@
 //! An item-level parse layer over the token stream (DESIGN.md §13).
 //!
-//! The lexer ([`crate::lexer`]) sees tokens; the rules that de-risk the
-//! parallel-DES refactor (R7–R9) need *structure*: which struct owns which
-//! fields, which `fn` lives inside which `impl`, which counters a
-//! `publish_metrics` body names, and what is reachable from a simulated
-//! machine through the type graph. This module builds exactly as much of
+//! The lexer ([`crate::lexer`]) sees tokens; the structural rules (R6–R10)
+//! need *structure*: which struct owns which fields, which `fn` lives
+//! inside which `impl`, which counters a `publish_metrics` body names, and
+//! what is reachable from a simulated machine through the type graph. This module builds exactly as much of
 //! that structure as the rules consume, and no more:
 //!
 //! * a flattened item list per file (structs/enums/unions/traits/fns/

@@ -23,12 +23,12 @@
 //!   code still calls one: the legacy `run_*_report` entry points are
 //!   deleted outright, `SimBuilder` is the sole run entry point, and a
 //!   fresh deprecation cycle would silently reopen the double-API surface.
-//! * **R7** — partition safety: no `static mut`, no `thread_local!`, and
-//!   no shared-ownership / interior-mutability cell (`Rc`, `RefCell`,
-//!   `Cell`, ...) on a type reachable from a simulated machine through the
-//!   field-type graph. Any of these would alias state across machines once
-//!   the DES executes partitions conservatively in parallel (ROADMAP
-//!   item 2); the diagnostic carries the reachability path.
+//! * **R7** — no hidden shared mutable state: no `static mut`, no
+//!   `thread_local!`, and no shared-ownership / interior-mutability cell
+//!   (`Rc`, `RefCell`, `Cell`, ...) on a type reachable from a simulated
+//!   machine through the field-type graph. Any of these lets state leak
+//!   between machines or between runs in one process, which breaks
+//!   same-seed/same-bytes; the diagnostic carries the reachability path.
 //! * **R8** — RNG provenance: every RNG in simulation crates flows from
 //!   the workload seed via a salting call (`SimRng::stream(seed, SALT)` /
 //!   `fork`). Literal seeds, ambient entropy sources, RNG `.clone()`, and
@@ -485,11 +485,11 @@ fn rule_r6(files: &[ParsedFile], out: &mut Vec<Violation>) {
 }
 
 /// The shared-ownership / interior-mutability markers R7 refuses on
-/// machine-reachable types: each one lets two partitions alias the same
-/// mutable cell (or, for `Rc`, pins the type to one thread).
+/// machine-reachable types: each one lets two owners alias the same
+/// mutable cell.
 const SHARED_CELLS: [&str; 8] = ["Rc", "Arc", "RefCell", "Cell", "UnsafeCell", "OnceCell", "Mutex", "RwLock"];
 
-/// R7: partition safety for parallel DES. Flags process-global mutable
+/// R7: no hidden shared mutable state. Flags process-global mutable
 /// state (`static mut`, `thread_local!`) in sim crates, and shared-cell
 /// fields on any type reachable from the machine type through the
 /// workspace field-type graph — each diagnostic carries the reachability
@@ -509,8 +509,8 @@ fn rule_r7(cfg: &Config, files: &[ParsedFile], out: &mut Vec<Violation>) {
                     path: f.rel.clone(),
                     line: item.line,
                     token: format!("static mut {}", item.name),
-                    hint: "process-global mutable state is shared by every simulated machine; own it \
-                           per machine so partitions stay independent"
+                    hint: "process-global mutable state is shared by every simulated machine and \
+                           outlives the run; own it per machine instead"
                         .to_string(),
                 });
             }
@@ -520,8 +520,8 @@ fn rule_r7(cfg: &Config, files: &[ParsedFile], out: &mut Vec<Violation>) {
                     path: f.rel.clone(),
                     line: item.line,
                     token: "thread_local!".to_string(),
-                    hint: "thread-local state silently diverges once partitions run on worker threads; \
-                           own the state per machine instead"
+                    hint: "thread-local state outlives the run and leaks into the next one in the \
+                           same process; own the state per machine instead"
                         .to_string(),
                 });
             }
@@ -546,7 +546,7 @@ fn rule_r7(cfg: &Config, files: &[ParsedFile], out: &mut Vec<Violation>) {
                     token: format!("{ty}.{}: {marker}", field.name),
                     hint: format!(
                         "{marker} on a type reachable from a simulated machine ({path}) aliases state \
-                         across partitions; give each machine exclusive ownership"
+                         between owners; give each machine exclusive ownership"
                     ),
                 });
             }
