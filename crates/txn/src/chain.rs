@@ -141,7 +141,7 @@ impl Chain {
             let record = WalRecord { txn_id, writes: writes.into_iter().map(|w| (w.key, w.value)).collect() };
             // Head -> tail: append + persist at every replica in order.
             for replica in &mut self.replicas {
-                let idx = replica.apply(record.clone());
+                let idx = replica.apply(&record);
                 replica.persist_through(idx);
             }
             // Tail ACK back-propagates; every replica then commits locally
@@ -156,46 +156,41 @@ impl Chain {
     /// transaction each — observationally identical to calling
     /// [`execute`](Self::execute) with one write per pair (same transaction
     /// ids, same logs, same memtables), but skipping concurrency-control
-    /// admission (a no-op when loading serially) and materializing the head
-    /// replica once, then cloning it down the chain.
-    pub fn preload<I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (u64, Vec<u8>)>,
-    {
-        let records: Vec<WalRecord> = items
-            .into_iter()
-            .map(|(key, value)| {
-                let txn_id = self.next_txn;
-                self.next_txn += 1;
-                WalRecord { txn_id, writes: vec![(key, value)] }
-            })
-            .collect();
-        if self.replicas.iter().all(|r| r.log_len() == 0) {
-            self.replicas[0].preload(records);
-            let head = self.replicas[0].clone();
-            for replica in &mut self.replicas[1..] {
-                *replica = head.clone();
+    /// admission (a no-op when loading serially). A fresh chain builds the
+    /// head replica once and clones it down the chain.
+    pub fn preload<V: AsRef<[u8]>>(&mut self, items: impl IntoIterator<Item = (u64, V)>) {
+        let (head, rest) = self.replicas.split_first_mut().expect("a chain has a head");
+        let fresh = head.log_len() == 0 && rest.iter().all(|r| r.log_len() == 0);
+        let from = head.log_len();
+        let loaded = head.preload(self.next_txn, items);
+        if fresh {
+            for replica in rest {
+                replica.clone_from(head);
             }
         } else {
-            for replica in &mut self.replicas[1..] {
-                replica.preload(records.clone());
+            for replica in rest {
+                replica.preload(
+                    self.next_txn,
+                    head.durable_log().skip(from).map(|r| r.writes().next().unwrap()),
+                );
             }
-            self.replicas[0].preload(records);
         }
+        self.next_txn += loaded;
     }
 
-    /// Checks that all replicas agree on the durable log length and on all
-    /// read values (the chain invariant).
+    /// Checks that all replicas agree on the durable log (the chain
+    /// invariant).
     pub fn check_consistency(&self) -> Result<(), String> {
-        let head_len = self.replicas[0].durable_len();
+        let head = &self.replicas[0];
         for (i, r) in self.replicas.iter().enumerate() {
-            if r.durable_len() != head_len {
+            if r.durable_len() != head.durable_len() {
                 return Err(format!(
-                    "replica {i} has {} durable records, head has {head_len}",
-                    r.durable_len()
+                    "replica {i} has {} durable records, head has {}",
+                    r.durable_len(),
+                    head.durable_len()
                 ));
             }
-            if r.durable_log() != self.replicas[0].durable_log() {
+            if r.durable_prefix() != head.durable_prefix() {
                 return Err(format!("replica {i} log diverges from head"));
             }
         }
@@ -209,6 +204,10 @@ mod tests {
 
     fn w(key: u64, byte: u8) -> TxnWrite {
         TxnWrite { key, value: vec![byte; 16] }
+    }
+
+    fn log(s: &PersistentStore) -> Vec<WalRecord> {
+        s.durable_log().map(|r| r.to_record()).collect()
     }
 
     #[test]
@@ -299,7 +298,7 @@ mod tests {
             slow.execute(&[], vec![TxnWrite { key, value }]);
         }
         for i in 0..2 {
-            assert_eq!(bulk.replica(i).durable_log(), slow.replica(i).durable_log());
+            assert_eq!(log(bulk.replica(i)), log(slow.replica(i)));
             assert_eq!(bulk.replica(i).len(), slow.replica(i).len());
             for k in 0..120 {
                 assert_eq!(bulk.replica(i).get(k), slow.replica(i).get(k));
@@ -323,8 +322,36 @@ mod tests {
             slow.execute(&[], vec![TxnWrite { key: k, value: vec![k as u8; 8] }]);
         }
         for i in 0..2 {
-            assert_eq!(bulk.replica(i).durable_log(), slow.replica(i).durable_log());
+            assert_eq!(log(bulk.replica(i)), log(slow.replica(i)));
             assert_eq!(bulk.replica(i).get(7), slow.replica(i).get(7));
         }
+        bulk.check_consistency().unwrap();
+        let a = bulk.execute(&[], vec![w(1, 9)]).txn_id;
+        let b = slow.execute(&[], vec![w(1, 9)]).txn_id;
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn consistency_check_flags_an_extra_durable_record() {
+        let mut chain = Chain::new(3);
+        chain.execute(&[], vec![w(1, 1)]);
+        let tail = chain.replica_mut(2);
+        let idx = tail.apply(&WalRecord { txn_id: 1, writes: vec![(2, vec![2; 16])] });
+        tail.persist_through(idx);
+        let err = chain.check_consistency().unwrap_err();
+        assert!(err.contains("replica 2 has 2 durable records"), "{err}");
+    }
+
+    #[test]
+    fn consistency_check_flags_differing_bytes() {
+        let mut chain = Chain::new(2);
+        chain.execute(&[], vec![w(1, 1), w(2, 2)]);
+        for (r, byte) in [(0, 3), (1, 4)] {
+            let replica = chain.replica_mut(r);
+            let idx = replica.apply(&WalRecord { txn_id: 1, writes: vec![(3, vec![byte; 16])] });
+            replica.persist_through(idx);
+        }
+        let err = chain.check_consistency().unwrap_err();
+        assert!(err.contains("replica 1 log diverges"), "{err}");
     }
 }

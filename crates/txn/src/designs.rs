@@ -102,9 +102,9 @@ impl TxnWorld {
             route_mean: Span::from_ns(3_000),
         };
         // Pre-load 100K pairs (bulk path; state matches per-txn execution).
-        world.chain.preload(
-            (0..params.keys).map(|key| (key, vec![(key & 0xFF) as u8; params.value_bytes as usize])),
-        );
+        // Key `k` holds `value_bytes` copies of its low byte.
+        let values: Vec<Vec<u8>> = (0..=u8::MAX).map(|b| vec![b; params.value_bytes as usize]).collect();
+        world.chain.preload((0..params.keys).map(|key| (key, &values[(key & 0xFF) as usize])));
         world
     }
 

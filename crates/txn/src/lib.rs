@@ -23,4 +23,4 @@ pub mod store;
 
 pub use chain::{Chain, ConcurrencyControl, TxnOutcome, TxnWrite};
 pub use designs::{run_hyperloop, run_pure_reads, run_rambda_tx, TxnDesigns, TxnParams};
-pub use store::{PersistentStore, WalRecord};
+pub use store::{LogRecord, PersistentStore, WalRecord};

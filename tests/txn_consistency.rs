@@ -88,7 +88,7 @@ fn unpersisted_tail_never_resurrects() {
     // Tamper: append a record but do NOT persist it.
     let idx = {
         let store = chain.replica_mut(0);
-        store.apply(rambda_txn::WalRecord { txn_id: 999, writes: vec![(2, value(2))] })
+        store.apply(&rambda_txn::WalRecord { txn_id: 999, writes: vec![(2, value(2))] })
     };
     assert!(idx > 0);
     let store = chain.replica_mut(0);
