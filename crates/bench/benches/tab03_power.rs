@@ -4,11 +4,10 @@
 //! Paper: CPU 130.4, Smart NIC 25.2, Rambda 188.7 Kop/W — and ~38 % lower
 //! whole-server power for Rambda at comparable throughput.
 
-use rambda::Testbed;
+use rambda::{SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::Table;
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
-use rambda_kvs::KvsParams;
+use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_power::{kop_per_watt, Design, PowerConfig};
 
 fn main() {
@@ -16,9 +15,10 @@ fn main() {
     let p = KvsParams { requests: 100_000, ..KvsParams::paper() };
     let power = PowerConfig::default();
 
-    let cpu = run_cpu(&tb, &p).throughput_ops;
-    let snic = run_smartnic(&tb, &p).throughput_ops;
-    let rambda = run_rambda(&tb, &p, DataLocation::HostDram).throughput_ops;
+    let ops_of = |design| SimBuilder::new(design).config(&tb).run().throughput_ops;
+    let cpu = ops_of(rambda::Design::kvs_cpu(p.clone()));
+    let snic = ops_of(rambda::Design::kvs_smartnic(p.clone()));
+    let rambda = ops_of(rambda::Design::kvs_rambda(p, DataLocation::HostDram));
 
     let mut table = Table::new(
         "Tab. III — power efficiency, uniform GET (paper: CPU 130.4 / SNIC 25.2 / Rambda 188.7 Kop/W)",

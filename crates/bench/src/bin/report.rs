@@ -34,19 +34,17 @@ use std::fs;
 use std::process::exit;
 
 use rambda::designs::RUNNER_NAMES;
-use rambda::micro::{run_rambda as micro_rambda, run_rambda_always_ddio, MicroParams};
+use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_bench::Table;
-use rambda_dlrm::serving as dlrm;
-use rambda_dlrm::DlrmParams;
+use rambda_dlrm::{DlrmDesigns, DlrmParams};
 use rambda_fabric::FaultConfig;
-use rambda_kvs::designs as kvs;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::{Json, RunReport, ScopeConfig};
 use rambda_power::{kop_per_watt, Design as PowerDesign, PowerConfig};
 use rambda_trace::{profile_json, HostProf, Tracer};
-use rambda_txn::{run_hyperloop, run_rambda_tx, TxnDesigns, TxnParams};
+use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
 /// Seed for the `--loss` fault plan — fixed so repeated invocations are
@@ -202,11 +200,14 @@ fn main() {
         &["claim", "paper", "measured"],
     );
 
+    let run = |design| SimBuilder::new(design).config(&tb).run();
+    let mops_of = |design| run(design).throughput_mops();
+
     // Microbenchmark: cpoll gain, local-memory gain, adaptive DDIO.
     let mp = MicroParams { requests: 60_000, ..MicroParams::paper() };
-    let polling = micro_rambda(&tb, mp, DataLocation::HostDram, false, 1).throughput_mops();
-    let cpoll = micro_rambda(&tb, mp, DataLocation::HostDram, true, 1).throughput_mops();
-    let lh = micro_rambda(&tb, mp, DataLocation::LocalHbm, true, 1).throughput_mops();
+    let polling = mops_of(Design::micro_rambda(mp, DataLocation::HostDram, false, 1));
+    let cpoll = mops_of(Design::micro_rambda(mp, DataLocation::HostDram, true, 1));
+    let lh = mops_of(Design::micro_rambda(mp, DataLocation::LocalHbm, true, 1));
     t.row(vec![
         "cpoll over spin-polling".into(),
         "+21.6%".into(),
@@ -214,8 +215,8 @@ fn main() {
     ]);
     t.row(vec!["Rambda-LH over Rambda (micro)".into(), "~2.66x".into(), format!("{:.2}x", lh / cpoll)]);
     let mn = mp.with_nvm();
-    let adaptive = micro_rambda(&tb, mn, DataLocation::HostDram, true, 1).throughput_mops();
-    let ddio = run_rambda_always_ddio(&tb, mn, true, 1).throughput_mops();
+    let adaptive = mops_of(Design::micro_rambda(mn, DataLocation::HostDram, true, 1));
+    let ddio = mops_of(Design::micro_rambda_always_ddio(mn, true, 1));
     t.row(vec![
         "adaptive DDIO on NVM".into(),
         "~+20%".into(),
@@ -224,17 +225,17 @@ fn main() {
 
     // KVS: throughput edge, tail latency, power efficiency.
     let kp = KvsParams { requests: 60_000, ..KvsParams::quick() };
-    let cpu = kvs::run_cpu(&tb, &kp);
-    let rambda = kvs::run_rambda(&tb, &kp, DataLocation::HostDram);
+    let cpu = run(Design::kvs_cpu(kp.clone()));
+    let rambda = run(Design::kvs_rambda(kp.clone(), DataLocation::HostDram));
     t.row(vec![
         "KVS throughput vs CPU".into(),
         "+2.3-8.3%".into(),
         format!("{:+.1}%", (rambda.throughput_mops() / cpu.throughput_mops() - 1.0) * 100.0),
     ]);
-    let mut lat = kp.clone();
+    let mut lat = kp;
     lat.window = 2;
-    let cpu_l = kvs::run_cpu(&tb, &lat);
-    let rambda_l = kvs::run_rambda(&tb, &lat, DataLocation::HostDram);
+    let cpu_l = run(Design::kvs_cpu(lat.clone())).latency;
+    let rambda_l = run(Design::kvs_rambda(lat, DataLocation::HostDram)).latency;
     t.row(vec![
         "KVS p99 vs CPU".into(),
         "-30.1%".into(),
@@ -251,8 +252,8 @@ fn main() {
 
     // Transactions: (4,2) latency saving.
     let tp = TxnParams::quick(TxnSpec::read_write(64));
-    let hl = run_hyperloop(&tb, &tp);
-    let rt = run_rambda_tx(&tb, &tp);
+    let hl = run(Design::txn_hyperloop(tp.clone())).latency;
+    let rt = run(Design::txn_rambda_tx(tp)).latency;
     t.row(vec![
         "TX (4,2) avg latency saving".into(),
         "63.2-66.8%".into(),
@@ -261,10 +262,10 @@ fn main() {
 
     // DLRM (Books): prototype penalty and LH gain.
     let dp = DlrmParams { queries: 10_000, ..DlrmParams::quick(DlrmProfile::by_name("Books").unwrap()) };
-    let c1 = dlrm::run_cpu(&tb, &dp, 1).throughput_mops();
-    let c8 = dlrm::run_cpu(&tb, &dp, 8).throughput_mops();
-    let r = dlrm::run_rambda(&tb, &dp, DataLocation::HostDram).throughput_mops();
-    let dlh = dlrm::run_rambda(&tb, &dp, DataLocation::LocalHbm).throughput_mops();
+    let c1 = mops_of(Design::dlrm_cpu(dp.clone(), 1));
+    let c8 = mops_of(Design::dlrm_cpu(dp.clone(), 8));
+    let r = mops_of(Design::dlrm_rambda(dp.clone(), DataLocation::HostDram));
+    let dlh = mops_of(Design::dlrm_rambda(dp, DataLocation::LocalHbm));
     t.row(vec!["DLRM Rambda vs 1 core".into(), "19.7-31.3%".into(), format!("{:.1}%", r / c1 * 100.0)]);
     t.row(vec!["DLRM Rambda-LH vs 8 cores".into(), "1.6-3.1x".into(), format!("{:.2}x", dlh / c8)]);
 

@@ -37,37 +37,25 @@ impl DriverConfig {
 }
 
 /// Results of a closed-loop run.
+///
+/// Opaque outside this crate: only [`SimCtx::run`](crate::SimCtx::run)
+/// produces one, a runner closure returns it, and
+/// [`SimBuilder`](crate::SimBuilder) turns it into the `RunReport` callers
+/// read.
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// Requests measured (post-warm-up).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Steady-state throughput in operations per second.
-    pub throughput_ops: f64,
+    pub(crate) throughput_ops: f64,
     /// Issue→response latency histogram (post-warm-up).
-    pub latency: Histogram,
+    pub(crate) latency: Histogram,
     /// Simulated time of the last completion (the run's makespan) — the
     /// denominator for resource-utilization figures in run reports.
-    pub makespan: Span,
+    pub(crate) makespan: Span,
     /// Event-core telemetry captured from the driver's event queue after the
     /// run drains (per-kind dispatch counts, sim-time dwell).
-    pub event_core: EventCoreStats,
-}
-
-impl RunStats {
-    /// Throughput in Mops.
-    pub fn throughput_mops(&self) -> f64 {
-        self.throughput_ops / 1.0e6
-    }
-
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.latency.mean().as_us_f64()
-    }
-
-    /// 99th-percentile latency in microseconds.
-    pub fn p99_us(&self) -> f64 {
-        self.latency.percentile(0.99).as_us_f64()
-    }
+    pub(crate) event_core: EventCoreStats,
 }
 
 /// Runs a closed loop: `serve(client, issue_time) -> completion_time`.
@@ -78,7 +66,7 @@ impl RunStats {
 /// # Panics
 ///
 /// Panics if the configuration has zero clients, window, or requests.
-pub fn run_closed_loop<F>(cfg: &DriverConfig, mut serve: F) -> RunStats
+pub(crate) fn run_closed_loop<F>(cfg: &DriverConfig, mut serve: F) -> RunStats
 where
     F: FnMut(usize, SimTime) -> SimTime,
 {
@@ -151,7 +139,8 @@ mod tests {
             let start = server.acquire(at, Span::from_ns(100));
             start + Span::from_ns(100)
         });
-        assert!((stats.throughput_mops() - 10.0).abs() < 0.1, "{}", stats.throughput_mops());
+        let mops = stats.throughput_ops / 1.0e6;
+        assert!((mops - 10.0).abs() < 0.1, "{mops}");
         assert!(stats.completed > 40_000);
     }
 
@@ -165,7 +154,7 @@ mod tests {
             let start = server.acquire(at, Span::from_ns(100));
             start + Span::from_ns(100)
         });
-        let mean = stats.mean_us();
+        let mean = stats.latency.mean().as_us_f64();
         assert!((5.0..7.5).contains(&mean), "mean={mean}");
     }
 
@@ -177,7 +166,8 @@ mod tests {
             let start = server.acquire(at, Span::from_ns(100));
             start + Span::from_ns(100)
         });
-        assert!((stats.throughput_mops() - 40.0).abs() < 1.0, "{}", stats.throughput_mops());
+        let mops = stats.throughput_ops / 1.0e6;
+        assert!((mops - 40.0).abs() < 1.0, "{mops}");
     }
 
     #[test]

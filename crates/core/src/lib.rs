@@ -20,13 +20,16 @@
 //! ## Quick start
 //!
 //! ```
-//! use rambda::{micro, Testbed};
+//! use rambda::{micro::MicroParams, Design, SimBuilder, Testbed};
 //! use rambda_accel::DataLocation;
 //!
 //! let testbed = Testbed::default(); // Tab. II configuration
 //! // One Rambda accelerator serving the linked-list microbenchmark:
-//! let stats = micro::run_rambda(&testbed, micro::MicroParams::quick(), DataLocation::HostDram, true, 7);
-//! assert!(stats.throughput_mops() > 1.0);
+//! let report = SimBuilder::new(Design::micro_rambda(MicroParams::quick(), DataLocation::HostDram, true, 7))
+//!     .config(&testbed)
+//!     .run();
+//! report.validate().unwrap();
+//! assert!(report.throughput_mops() > 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,12 +43,10 @@ pub mod cpu;
 pub mod designs;
 pub mod framework;
 pub mod micro;
-pub mod report;
 pub mod sim;
 
 pub use config::{CpuConfig, Testbed};
-pub use driver::{run_closed_loop, DriverConfig, RunStats};
+pub use driver::{DriverConfig, RunStats};
 pub use framework::{AppRegistration, Connection, CpollLayout, Framework, RegisterError, RegisteredApp};
 pub use machine::Machine;
-pub use report::build_report;
-pub use sim::{Design, SimBuilder, SimCtx};
+pub use sim::{Components, Design, Request, SimBuilder, SimCtx};

@@ -9,13 +9,14 @@
 
 use rambda_accel::{AccelConfig, AccelEngine, DataLocation};
 use rambda_coherence::Notifier;
-use rambda_des::{SimRng, SimTime, Span};
+use rambda_des::{SimRng, Span};
 use rambda_mem::{MemKind, MemorySystem};
+use rambda_metrics::MetricSet;
 
 use crate::config::Testbed;
 use crate::cpu::CpuServer;
-use crate::driver::{run_closed_loop, DriverConfig, RunStats};
-use crate::sim::{Design, SimCtx};
+use crate::driver::{DriverConfig, RunStats};
+use crate::sim::{Components, Design, SimCtx};
 
 /// Spin-polling throughput tax relative to cpoll, applied to both the
 /// controller issue rate and the interconnect bandwidth. Calibrated to the
@@ -121,87 +122,77 @@ impl Design {
     /// `batch`. Single-machine (shared-memory rings, no network), so the
     /// builder's fault plan does not apply.
     pub fn micro_cpu(params: MicroParams, cores: usize, batch: usize) -> Design {
-        Design::from_runner("micro.cpu", 0, move |tb, ctx| run_cpu_inner(tb, params, cores, batch, ctx))
+        Design::from_runner("micro.cpu", 0, move |tb, ctx| run_cpu(tb, params, cores, batch, ctx))
     }
 
     /// The Sec. VI-A Rambda microbenchmark (prototype or LD/LH via
     /// `location`; `cpoll == false` is the spin-polling ablation).
     /// Single-machine, so the builder's fault plan does not apply.
     pub fn micro_rambda(params: MicroParams, location: DataLocation, cpoll: bool, seed: u64) -> Design {
+        // The adaptive scheme disables global DDIO (Fig. 6 guideline 1).
         Design::from_runner("micro.rambda", seed, move |tb, ctx| {
-            run_rambda_inner(tb, params, location, cpoll, true, seed, ctx)
+            run_rambda(tb, params, location, cpoll, true, seed, ctx)
+        })
+    }
+
+    /// The "Rambda-DDIO" ablation of the NVM microbenchmark, reported as
+    /// `micro.rambda`: global DDIO stays on, so persisted records take the
+    /// LLC-then-evict path with write amplification.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is not the NVM variant.
+    pub fn micro_rambda_always_ddio(params: MicroParams, cpoll: bool, seed: u64) -> Design {
+        assert!(params.nvm, "the DDIO ablation only applies to the NVM variant");
+        Design::from_runner("micro.rambda", seed, move |tb, ctx| {
+            run_rambda(tb, params, DataLocation::HostNvm, cpoll, false, seed, ctx)
         })
     }
 }
 
-/// Runs the CPU baseline on `cores` cores with request batches of `batch`.
-pub fn run_cpu(testbed: &Testbed, params: MicroParams, cores: usize, batch: usize) -> RunStats {
-    crate::rambda_stats_only_ctx!(ctx);
-    run_cpu_inner(testbed, params, cores, batch, ctx)
+/// The CPU baseline's components.
+struct CpuRig {
+    cpu: CpuServer,
+    mem: MemorySystem,
 }
 
-fn run_cpu_inner(
-    testbed: &Testbed,
-    params: MicroParams,
-    cores: usize,
-    batch: usize,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
-    let mut mem = MemorySystem::new(testbed.mem.clone(), true);
-    let mut cpu = CpuServer::new(testbed.cpu.clone(), cores, batch);
+impl Components for CpuRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.cpu.publish_metrics(s, "cpu");
+        self.mem.publish_metrics(s, "mem");
+    }
+}
+
+fn run_cpu(testbed: &Testbed, params: MicroParams, cores: usize, batch: usize, ctx: SimCtx<'_>) -> RunStats {
+    let mut rig = CpuRig {
+        cpu: CpuServer::new(testbed.cpu.clone(), cores, batch),
+        mem: MemorySystem::new(testbed.mem.clone(), true),
+    };
     let kind = params.kind();
     let record = params.record_bytes();
-    let scope_names = params.scope_names();
-    let stats = run_closed_loop(&params.driver(), |c, at| {
-        let mut tr = tracer.observe(rec, at);
-        let done = cpu.serve_request(at, params.chase, record, kind, &mut mem);
-        tr.leg("cpu_serve", done);
-        tr.finish(done);
-        scopes.record(&scope_names[params.scope_of(c)], at, done);
-        scopes.observe_key(c as u64);
-        tracer.sample_with(rec, at, |s| {
-            cpu.publish_metrics(s, "cpu");
-            mem.publish_metrics(s, "mem");
-        });
-        done
-    });
-    if rec.is_active() {
-        cpu.publish_metrics(resources, "cpu");
-        mem.publish_metrics(resources, "mem");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, c, at| {
+        let done = rig.cpu.serve_request(at, params.chase, record, kind, &mut rig.mem);
+        req.leg("cpu_serve", done);
+        req.scope(params.scope_of(c));
+        req.key(c as u64);
+        Ok(done)
+    })
+}
+
+/// A Rambda accelerator's components.
+struct AccelRig {
+    engine: AccelEngine,
+    mem: MemorySystem,
+}
+
+impl Components for AccelRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.engine.publish_metrics(s, "accel");
+        self.mem.publish_metrics(s, "mem");
     }
-    stats
 }
 
-/// Runs a Rambda variant: prototype (`HostDram`/`HostNvm` per
-/// `params.nvm`) or the envisioned local-memory accelerators
-/// (`LocalDdr`/`LocalHbm`).
-///
-/// `cpoll == false` selects the spin-polling ablation; `seed` fixes the
-/// run's randomness.
-pub fn run_rambda(
-    testbed: &Testbed,
-    params: MicroParams,
-    location: DataLocation,
-    cpoll: bool,
-    seed: u64,
-) -> RunStats {
-    // The adaptive scheme disables global DDIO (Fig. 6 guideline 1).
-    crate::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, location, cpoll, true, seed, ctx)
-}
-
-/// The "Rambda-DDIO" ablation of the NVM microbenchmark: global DDIO stays
-/// on, so persisted records take the LLC-then-evict path with write
-/// amplification.
-pub fn run_rambda_always_ddio(testbed: &Testbed, params: MicroParams, cpoll: bool, seed: u64) -> RunStats {
-    assert!(params.nvm, "the DDIO ablation only applies to the NVM variant");
-    crate::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, DataLocation::HostNvm, cpoll, false, seed, ctx)
-}
-
-fn run_rambda_inner(
+fn run_rambda(
     testbed: &Testbed,
     params: MicroParams,
     location: DataLocation,
@@ -210,96 +201,95 @@ fn run_rambda_inner(
     seed: u64,
     ctx: SimCtx<'_>,
 ) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults: _, scopes } = ctx;
     let location = match (params.nvm, location) {
         (true, DataLocation::HostDram) => DataLocation::HostNvm,
         (_, l) => l,
     };
-    let mut engine = AccelEngine::new(testbed.accel_config(location, cpoll));
-    let mut mem = MemorySystem::new(testbed.mem.clone(), !adaptive_ddio);
+    let mut rig = AccelRig {
+        engine: AccelEngine::new(testbed.accel_config(location, cpoll)),
+        mem: MemorySystem::new(testbed.mem.clone(), !adaptive_ddio),
+    };
     let mut rng = SimRng::seed(seed);
     let connections = params.connections;
     let record = params.record_bytes();
-    let scope_names = params.scope_names();
 
-    let stats = run_closed_loop(&params.driver(), |c, at| {
-        let mut trace = tracer.observe(rec, at);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, c, at| {
+        let AccelRig { engine, mem } = rig;
         // Request written into the ring at `at`; discovery via cpoll (or the
         // slower spin-poll cycle).
         let mut t = engine.discover(at, connections, &mut rng);
         if !cpoll {
             t += SPIN_POLL_DELAY;
         }
-        trace.leg("coherence", t);
+        req.leg("coherence", t);
         let start = engine.claim_slot(t);
-        trace.leg("dispatch", start);
+        req.leg("dispatch", start);
         let mut now = start;
         // Fetch the request entry. In the local-memory emulation requests
         // are generated within the FPGA (Sec. V), so only host-resident
         // variants fetch across the interconnect.
         if location.is_host() {
-            now = engine.ring_read(now, 64, &mut mem);
-            trace.leg("ring_read", now);
+            now = engine.ring_read(now, 64, mem);
+            req.leg("ring_read", now);
         }
         // Walk the list: three dependent reads.
-        now = engine.read_chain(now, params.chase, 64, &mut mem);
-        trace.leg("mem_chase", now);
+        now = engine.read_chain(now, params.chase, 64, mem);
+        req.leg("mem_chase", now);
         now = engine.compute(now, 1);
-        trace.leg("apu_compute", now);
+        req.leg("apu_compute", now);
         // Emit the response / persist the record.
         now = match (params.nvm, adaptive_ddio) {
-            (true, true) => engine.mem_access(now, record, true, &mut mem),
+            (true, true) => engine.mem_access(now, record, true, mem),
             (true, false) => {
                 // DDIO on: the record lands in the LLC first, then must be
                 // flushed to the persistence domain with amplification.
-                let in_llc = engine.ring_write(now, record, &mut mem);
+                let in_llc = engine.ring_write(now, record, mem);
                 mem.flush_llc_to_nvm(in_llc, record)
             }
             (false, _) => {
                 if location.is_host() {
-                    engine.ring_write(now, record, &mut mem)
+                    engine.ring_write(now, record, mem)
                 } else {
                     now // response consumed on-FPGA in the emulation
                 }
             }
         };
         if params.nvm {
-            trace.leg("nvm_persist", now);
+            req.leg("nvm_persist", now);
         } else {
-            trace.leg("response_write", now);
+            req.leg("response_write", now);
         }
         engine.release_slot(t, now);
-        trace.finish(now);
-        scopes.record(&scope_names[params.scope_of(c)], at, now);
-        scopes.observe_key(c as u64);
-        tracer.sample_with(rec, at, |s| {
-            engine.publish_metrics(s, "accel");
-            mem.publish_metrics(s, "mem");
-        });
-        now
-    });
-    if rec.is_active() {
-        engine.publish_metrics(resources, "accel");
-        mem.publish_metrics(resources, "mem");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
-    stats
+        req.scope(params.scope_of(c));
+        req.key(c as u64);
+        Ok(now)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimBuilder;
+    use rambda_metrics::RunReport;
 
-    fn tb() -> Testbed {
-        Testbed::default()
+    fn run(design: Design) -> RunReport {
+        SimBuilder::new(design).run()
+    }
+
+    fn cpu(p: MicroParams, cores: usize) -> f64 {
+        run(Design::micro_cpu(p, cores, 16)).throughput_mops()
+    }
+
+    fn rambda(p: MicroParams, location: DataLocation, cpoll: bool) -> f64 {
+        run(Design::micro_rambda(p, location, cpoll, 1)).throughput_mops()
     }
 
     #[test]
     fn cpu_scales_linearly_to_16_cores() {
         let p = MicroParams::quick();
-        let one = run_cpu(&tb(), p, 1, 16).throughput_mops();
-        let eight = run_cpu(&tb(), p, 8, 16).throughput_mops();
-        let sixteen = run_cpu(&tb(), p, 16, 16).throughput_mops();
+        let one = cpu(p, 1);
+        let eight = cpu(p, 8);
+        let sixteen = cpu(p, 16);
         assert!((6.0..10.5).contains(&(eight / one)), "8/1 = {}", eight / one);
         assert!((1.6..2.2).contains(&(sixteen / eight)), "16/8 = {}", sixteen / eight);
     }
@@ -308,8 +298,8 @@ mod tests {
     fn rambda_polling_is_roughly_eight_cores() {
         // Fig. 7: "Rambda-polling ... is equivalent to ~8 cores".
         let p = MicroParams::quick();
-        let eight = run_cpu(&tb(), p, 8, 16).throughput_mops();
-        let polling = run_rambda(&tb(), p, DataLocation::HostDram, false, 1).throughput_mops();
+        let eight = cpu(p, 8);
+        let polling = rambda(p, DataLocation::HostDram, false);
         let ratio = polling / eight;
         assert!((0.7..1.4).contains(&ratio), "polling/8core = {ratio}");
     }
@@ -317,8 +307,8 @@ mod tests {
     #[test]
     fn cpoll_improves_over_polling_by_about_20_percent() {
         let p = MicroParams::quick();
-        let polling = run_rambda(&tb(), p, DataLocation::HostDram, false, 1).throughput_mops();
-        let cpoll = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
+        let polling = rambda(p, DataLocation::HostDram, false);
+        let cpoll = rambda(p, DataLocation::HostDram, true);
         let gain = cpoll / polling - 1.0;
         assert!((0.12..0.35).contains(&gain), "gain = {gain}");
     }
@@ -327,37 +317,38 @@ mod tests {
     fn local_memory_variants_improve_further() {
         // Fig. 7: LD/LH bring 114.4%-165.6% more improvement over Rambda.
         let p = MicroParams::quick();
-        let rambda = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
-        let ld = run_rambda(&tb(), p, DataLocation::LocalDdr, true, 1).throughput_mops();
-        let lh = run_rambda(&tb(), p, DataLocation::LocalHbm, true, 1).throughput_mops();
-        assert!(ld > 1.6 * rambda, "LD {ld} vs Rambda {rambda}");
+        let rambda_dram = rambda(p, DataLocation::HostDram, true);
+        let ld = rambda(p, DataLocation::LocalDdr, true);
+        let lh = rambda(p, DataLocation::LocalHbm, true);
+        assert!(ld > 1.6 * rambda_dram, "LD {ld} vs Rambda {rambda_dram}");
         assert!(lh > ld, "LH {lh} vs LD {ld}");
-        assert!(lh < 4.0 * rambda, "LH {lh} vs Rambda {rambda}");
+        assert!(lh < 4.0 * rambda_dram, "LH {lh} vs Rambda {rambda_dram}");
     }
 
     #[test]
     fn adaptive_ddio_helps_nvm_by_about_20_percent() {
         let p = MicroParams::quick().with_nvm();
-        let adaptive = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
-        let always = run_rambda_always_ddio(&tb(), p, true, 1).throughput_mops();
-        let gain = adaptive / always - 1.0;
+        let adaptive = rambda(p, DataLocation::HostDram, true);
+        let always = run(Design::micro_rambda_always_ddio(p, true, 1));
+        assert_eq!(always.name, "micro.rambda");
+        let gain = adaptive / always.throughput_mops() - 1.0;
         assert!((0.1..0.35).contains(&gain), "gain = {gain}");
     }
 
     #[test]
     fn nvm_is_slower_than_dram_everywhere() {
         let p = MicroParams::quick();
-        let dram = run_rambda(&tb(), p, DataLocation::HostDram, true, 1).throughput_mops();
-        let nvm = run_rambda(&tb(), p.with_nvm(), DataLocation::HostDram, true, 1).throughput_mops();
+        let dram = rambda(p, DataLocation::HostDram, true);
+        let nvm = rambda(p.with_nvm(), DataLocation::HostDram, true);
         assert!(nvm < dram);
-        let cpu_dram = run_cpu(&tb(), p, 8, 16).throughput_mops();
-        let cpu_nvm = run_cpu(&tb(), p.with_nvm(), 8, 16).throughput_mops();
+        let cpu_dram = cpu(p, 8);
+        let cpu_nvm = cpu(p.with_nvm(), 8);
         assert!(cpu_nvm < cpu_dram);
     }
 
     #[test]
     #[should_panic(expected = "only applies to the NVM variant")]
     fn ddio_ablation_requires_nvm() {
-        run_rambda_always_ddio(&tb(), MicroParams::quick(), true, 1);
+        Design::micro_rambda_always_ddio(MicroParams::quick(), true, 1);
     }
 }

@@ -1,11 +1,10 @@
-//! The unified experiment entry point: [`SimBuilder`] + [`Design`].
+//! The one way to run a design: [`SimBuilder`] + [`Design`].
 //!
-//! Historically every runner exposed three entry points (`run_X`,
-//! `run_X_report`, `run_X_report_traced`) and fault injection would have
-//! added a fourth axis. `SimBuilder` collapses the matrix: a [`Design`]
-//! names *what* to simulate, the builder configures *how* (testbed, fault
-//! plan, flight recorder), and `run()` always yields a validated-shape
-//! [`RunReport`].
+//! A [`Design`] names *what* to simulate, the builder configures *how*
+//! (testbed, fault plan, flight recorder), and `run()` always yields a
+//! validated-shape [`RunReport`]. Inside, a runner hands its
+//! [`Components`] and per-request closure to [`SimCtx::run`], which
+//! observes every design the same way.
 //!
 //! ```
 //! use rambda::{Design, SimBuilder, Testbed};
@@ -31,57 +30,138 @@
 //!     .run();
 //! ```
 
-use rambda_fabric::FaultConfig;
-use rambda_metrics::{MetricSet, RunReport, ScopeConfig, ScopedMetrics, StageRecorder};
-use rambda_trace::Tracer;
+use rambda_des::SimTime;
+use rambda_fabric::{FaultConfig, Network};
+use rambda_metrics::{HistSummary, MetricSet, RunReport, ScopeConfig, ScopedMetrics, StageRecorder};
+use rambda_rnic::RdmaError;
+use rambda_trace::{ReqObs, Tracer};
 
 use crate::config::Testbed;
-use crate::driver::RunStats;
-use crate::report::build_report;
+use crate::driver::{run_closed_loop, DriverConfig, RunStats};
 
-/// Everything a runner needs besides its own parameters: the stage
-/// recorder + resource sink the report is built from, the (possibly
-/// disabled) flight recorder, and the run's fault plan.
+/// The simulated components of one design, as the framework observes
+/// them.
 ///
-/// Runners receive this by value and destructure it; the borrows inside
-/// live for the duration of one `run()`.
-pub struct SimCtx<'a> {
-    /// Per-stage latency recorder (always active under the builder).
-    pub rec: &'a mut StageRecorder,
-    /// Resource counter sink for the final report.
-    pub resources: &'a mut MetricSet,
-    /// Flight recorder; `Tracer::disabled()` when none was attached.
-    pub tracer: &'a mut Tracer,
-    /// Fault plan to install on the run's `Network` (disabled by default).
-    /// Single-machine designs without a network ignore it.
-    pub faults: &'a FaultConfig,
-    /// Per-entity scoped metrics; `ScopedMetrics::disabled()` unless the
-    /// builder enabled scoping. Designs tag each request with its scope
-    /// (shard, replica, table) and feed hot keys into the sketch; the
-    /// builder folds the registry into the report's `scopes` section.
-    pub scopes: &'a mut ScopedMetrics,
+/// A runner gathers every component it publishes (machines, core pools,
+/// accelerators, the network) into one struct and implements this trait
+/// on it; [`SimCtx::run`] then samples, publishes and fault-drains that
+/// struct the same way for every design.
+pub trait Components {
+    /// Publishes every component's counters except the network's: the
+    /// design's one publisher list, used for the periodic samples and the
+    /// final report alike.
+    fn publish(&self, s: &mut MetricSet);
+
+    /// The design's network, if it has one. The framework installs the
+    /// run's fault plan on it, publishes it under `net`, forwards its
+    /// injected-fault log to the flight recorder and publishes its links
+    /// as `link/net.*` scopes. Single-machine designs keep the default.
+    fn net(&mut self) -> Option<&mut Network> {
+        None
+    }
 }
 
-/// Builds a throwaway [`SimCtx`] (disabled recorder, tracer and fault
-/// plan) bound to `$ctx`, for the stats-only `run_*` entry points that
-/// predate the builder. Internal plumbing for the runner crates.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! rambda_stats_only_ctx {
-    ($ctx:ident) => {
-        let mut rec = ::rambda_metrics::StageRecorder::disabled();
-        let mut resources = ::rambda_metrics::MetricSet::new();
-        let mut tracer = ::rambda_trace::Tracer::disabled();
-        let faults = ::rambda_fabric::FaultConfig::disabled();
-        let mut scopes = ::rambda_metrics::ScopedMetrics::disabled();
-        let $ctx = $crate::SimCtx {
-            rec: &mut rec,
-            resources: &mut resources,
-            tracer: &mut tracer,
-            faults: &faults,
-            scopes: &mut scopes,
-        };
-    };
+/// Publishes `rig` in full: its own list plus its network under `net`.
+fn publish_all<R: Components>(rig: &mut R, s: &mut MetricSet) {
+    rig.publish(s);
+    if let Some(net) = rig.net() {
+        net.publish_metrics(s, "net");
+    }
+}
+
+/// Everything a runner needs besides its own parameters: the stage
+/// recorder and resource sink the report is built from, the (possibly
+/// disabled) flight recorder, the run's fault plan and the scoped-metrics
+/// registry. Only [`SimBuilder::run`] builds one; a runner hands it its
+/// components and serve closure through [`SimCtx::run`].
+pub struct SimCtx<'a> {
+    rec: &'a mut StageRecorder,
+    resources: &'a mut MetricSet,
+    tracer: &'a mut Tracer,
+    faults: &'a FaultConfig,
+    scopes: &'a mut ScopedMetrics,
+}
+
+impl SimCtx<'_> {
+    /// Runs the closed loop `driver` over the design's components `rig`.
+    ///
+    /// `serve(rig, req, client, issued)` simulates one request and returns
+    /// its completion time; it charges critical-path legs and scope
+    /// attribution through `req`. An `Err` means the RDMA layer exhausted
+    /// its retransmission budget: the framework sheds the request — the
+    /// client observes a timeout at the error-completion time, charged to
+    /// a `shed` leg — instead of asserting. Around each call the framework
+    /// opens the request trace, closes it at the completion time, records
+    /// the request under `scope_names[i]` for the `i` given to
+    /// [`Request::scope`] and takes a periodic sample of `rig`, shed
+    /// requests included. After the run it drains the network's fault
+    /// events into the flight recorder and publishes the final counter
+    /// set, the per-link scopes and the trace's final sample.
+    pub fn run<R, F>(
+        self,
+        driver: &DriverConfig,
+        scope_names: &[String],
+        rig: &mut R,
+        mut serve: F,
+    ) -> RunStats
+    where
+        R: Components,
+        F: FnMut(&mut R, &mut Request<'_>, usize, SimTime) -> Result<SimTime, RdmaError>,
+    {
+        let SimCtx { rec, resources, tracer, faults, scopes } = self;
+        if let Some(net) = rig.net() {
+            net.install_faults(faults);
+        }
+        let stats = run_closed_loop(driver, |client, at| {
+            let mut req = Request { trace: tracer.observe(rec, at), scopes: &mut *scopes, scope: None };
+            let done = serve(rig, &mut req, client, at).unwrap_or_else(|err| {
+                req.leg("shed", err.at());
+                err.at()
+            });
+            let Request { trace, scopes, scope } = req;
+            trace.finish(done);
+            if let Some(i) = scope {
+                scopes.record(&scope_names[i], at, done);
+            }
+            tracer.sample_with(rec, at, |s| publish_all(rig, s));
+            done
+        });
+        publish_all(rig, resources);
+        if let Some(net) = rig.net() {
+            for ev in net.drain_fault_events() {
+                tracer.fault(ev.kind.name(), ev.at, ev.from.0, ev.to.0);
+            }
+            net.publish_scoped(scopes, "net");
+        }
+        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
+        stats
+    }
+}
+
+/// One request in flight under [`SimCtx::run`]: its trace cursor, plus
+/// the scope and keys it is attributed to.
+#[derive(Debug)]
+pub struct Request<'a> {
+    trace: ReqObs<'a>,
+    scopes: &'a mut ScopedMetrics,
+    scope: Option<usize>,
+}
+
+impl Request<'_> {
+    /// Ends the current critical-path leg at `now`, charging it to `stage`.
+    pub fn leg(&mut self, stage: &'static str, now: SimTime) {
+        self.trace.leg(stage, now);
+    }
+
+    /// Attributes the request to scope `index` of the run's scope names.
+    pub fn scope(&mut self, index: usize) {
+        self.scope = Some(index);
+    }
+
+    /// Feeds `key` into the hot-key sketch.
+    pub fn key(&mut self, key: u64) {
+        self.scopes.observe_key(key);
+    }
 }
 
 /// The boxed runner closure a [`Design`] carries.
@@ -209,7 +289,21 @@ impl<'a> SimBuilder<'a> {
             scopes: &mut scoped,
         };
         let stats = (self.design.run)(&self.testbed, ctx);
-        let mut report = build_report(self.design.name, self.design.seed, &stats, &mut rec, resources);
+        // Closing the timeline against the makespan and the final counters
+        // makes its busy-time identity exact.
+        rec.finalize_timeline(stats.makespan, &resources);
+        let latency = HistSummary::of(&stats.latency);
+        let (name, seed) = (self.design.name, self.design.seed);
+        let mut report = RunReport::new(
+            name,
+            seed,
+            stats.completed,
+            stats.throughput_ops,
+            stats.makespan,
+            latency,
+            &rec,
+            resources,
+        );
         if self.profile {
             report.attach_event_core(rambda_metrics::EventCoreSummary::of(&stats.event_core, 0));
         }
@@ -223,28 +317,31 @@ impl<'a> SimBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_closed_loop, DriverConfig};
-    use rambda_des::{Server, SimTime, Span};
+    use rambda_des::{Server, Span};
+
+    /// A toy design: two server units behind two scoped connections.
+    struct Toy {
+        server: Server,
+    }
+
+    impl Components for Toy {
+        fn publish(&self, s: &mut MetricSet) {
+            s.observe_server("server", &self.server);
+        }
+    }
 
     fn toy_design(seed: u64) -> Design {
         Design::from_runner("toy", seed, |_tb, ctx| {
-            let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-            assert!(!faults.is_active(), "toy design runs healthy");
-            let scope_names = ["conn/0", "conn/1"];
-            let mut server = Server::new(2);
-            let stats = run_closed_loop(&DriverConfig::new(2, 2_000), |c, at| {
-                let mut tr = tracer.observe(rec, at);
-                let start = server.acquire(at, Span::from_ns(100));
+            let scope_names = ["conn/0".to_string(), "conn/1".to_string()];
+            let mut toy = Toy { server: Server::new(2) };
+            ctx.run(&DriverConfig::new(2, 2_000), &scope_names, &mut toy, |toy, req, c, at| {
+                let start = toy.server.acquire(at, Span::from_ns(100));
                 let done = start + Span::from_ns(100);
-                tr.leg("cpu_serve", done);
-                tr.finish(done);
-                scopes.record(scope_names[c], at, done);
-                scopes.observe_key(c as u64);
-                done
-            });
-            resources.observe_server("server", &server);
-            tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-            stats
+                req.leg("cpu_serve", done);
+                req.scope(c);
+                req.key(c as u64);
+                Ok(done)
+            })
         })
     }
 
@@ -255,7 +352,14 @@ mod tests {
         assert_eq!(report.name, "toy");
         assert_eq!(report.seed, 3);
         assert!(report.completed > 0);
-        assert!(report.timeline.is_some(), "builder always records stages");
+        // The timeline closes exactly against the final counters.
+        let tl = report.timeline.as_ref().expect("builder always records stages");
+        assert_eq!(tl.merged, report.total);
+        let busy: u64 = tl.resources.iter().find(|r| r.name == "server").unwrap().busy_delta_ps.iter().sum();
+        assert_eq!(busy, report.resources.counter("server.busy_ps").unwrap());
+        assert!(report.resources.counter("server.acquisitions").unwrap() >= 2_000);
+        let util = report.resources.gauge_value("server.utilization").unwrap();
+        assert!(util > 0.0 && util <= 1.0, "utilization {util}");
     }
 
     #[test]

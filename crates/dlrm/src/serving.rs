@@ -8,14 +8,13 @@
 //! (with MERCI memoization) and the lightweight FC layers, and responds
 //! through the RNIC.
 
-use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, Components, Design, DriverConfig, Machine, Request, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, DataLocation};
-use rambda_des::Link;
-use rambda_des::{Server, SimRng, SimTime, Span};
+use rambda_des::{Link, Server, SimRng, Span};
 use rambda_fabric::{Network, NodeId};
-use rambda_mem::{AccessKind, MemKind, MemReq, MemorySystem};
-use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, RdmaError, WriteOpts};
-use rambda_trace::{ReqObs, Tracer};
+use rambda_mem::MemKind;
+use rambda_metrics::MetricSet;
+use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, WriteOpts};
 use rambda_workloads::{DlrmProfile, Zipf};
 
 use crate::merci::{sample_correlated_query, MemoTable, ReductionPlan};
@@ -134,14 +133,16 @@ impl DlrmParams {
 /// Embedding-table partitions a scoped run attributes queries to.
 const SCOPE_TABLES: u32 = 4;
 
-/// Feeds every row the reduction plan touches into the hot-key sketch
-/// (memoized pairs count as their even row).
-fn observe_plan(scopes: &mut rambda_metrics::ScopedMetrics, plan: &ReductionPlan) {
+/// Attributes a query to its embedding-table partition and feeds every
+/// row its reduction plan touches into the hot-key sketch (memoized pairs
+/// count as their even row).
+fn observe_plan(req: &mut Request<'_>, params: &DlrmParams, plan: &ReductionPlan) {
+    req.scope(params.scope_of(plan));
     for &p in &plan.memo_pairs {
-        scopes.observe_key(2 * p as u64);
+        req.key(2 * p as u64);
     }
     for &r in &plan.singles {
-        scopes.observe_key(r as u64);
+        req.key(r as u64);
     }
 }
 
@@ -192,287 +193,226 @@ impl DlrmWorld {
     }
 }
 
-/// Degraded-mode completion: the RDMA layer exhausted its retransmission
-/// budget, so the design sheds the query — the client observes a timeout
-/// at the error-completion time — instead of asserting.
-fn shed(mut tr: ReqObs<'_>, err: &RdmaError) -> SimTime {
-    let at = err.at();
-    tr.leg("shed", at);
-    tr.finish(at);
-    at
-}
-
-/// Forwards the run's injected-fault log from the network to the flight
-/// recorder as instants on the fabric track.
-fn drain_faults(net: &mut Network, tracer: &mut Tracer) {
-    for ev in net.drain_fault_events() {
-        tracer.fault(ev.kind.name(), ev.at, ev.from.0, ev.to.0);
-    }
-}
-
 /// [`Design`] constructors for the DLRM serving experiments, so
 /// [`SimBuilder`](rambda::SimBuilder) can run them.
 pub trait DlrmDesigns {
     /// The CPU-only MERCI baseline on `cores` cores (`dlrm.cpu`).
     fn dlrm_cpu(params: DlrmParams, cores: usize) -> Design;
-    /// Rambda-DLRM and its LD/LH variants (`dlrm.rambda`).
+    /// Rambda-DLRM (`dlrm.rambda`): accelerator-terminated RPC, CPU
+    /// pre-processing hand-off, APU embedding reduction + FC. `location`
+    /// selects the prototype (HostDram) or the LD/LH local-memory variants.
     fn dlrm_rambda(params: DlrmParams, location: DataLocation) -> Design;
 }
 
 impl DlrmDesigns for Design {
     fn dlrm_cpu(params: DlrmParams, cores: usize) -> Design {
-        Design::from_runner("dlrm.cpu", params.seed, move |tb, ctx| run_cpu_inner(tb, &params, cores, ctx))
+        Design::from_runner("dlrm.cpu", params.seed, move |tb, ctx| run_cpu(tb, &params, cores, ctx))
     }
 
     fn dlrm_rambda(params: DlrmParams, location: DataLocation) -> Design {
-        Design::from_runner("dlrm.rambda", params.seed, move |tb, ctx| {
-            run_rambda_inner(tb, &params, location, ctx)
-        })
+        Design::from_runner("dlrm.rambda", params.seed, move |tb, ctx| run_rambda(tb, &params, location, ctx))
     }
 }
 
-/// The CPU-only MERCI baseline on `cores` cores.
-pub fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_cpu_inner(testbed, params, cores, ctx)
+/// The CPU baseline's components.
+struct CpuRig {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    core_pool: Server,
+    /// The socket-level random-gather roofline (shared by all cores).
+    gather: Link,
 }
 
-fn run_cpu_inner(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, true);
-    let mut server = rambda::Machine::new(SERVER, testbed, true);
+impl Components for CpuRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        s.observe_server("cores", &self.core_pool);
+        s.observe_link("gather", &self.gather);
+    }
+
+    fn net(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
+fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>) -> RunStats {
+    let mut rig = CpuRig {
+        net: Network::new(testbed.net.clone()),
+        client: Machine::new(CLIENT, testbed, true),
+        server: Machine::new(SERVER, testbed, true),
+        core_pool: Server::new(cores),
+        gather: Link::new(params.costs.socket_gather_bw, Span::ZERO),
+    };
     let mut world = DlrmWorld::new(params);
-    let mut core_pool = Server::new(cores);
-    // The socket-level random-gather roofline (shared by all cores).
-    let mut gather = Link::new(params.costs.socket_gather_bw, Span::ZERO);
-    let rq_mr = server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+    let rq_mr = rig.server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+    let client_mr = rig.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
     let opts = WriteOpts { post: PostPath::HostMmio, batch: 16, flags: PostFlags::NONE };
     let row = params.row_bytes();
     let costs = params.costs.clone();
-    let scope_names = params.scope_names();
 
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
+        let CpuRig { net, client, server, core_pool, gather } = rig;
         let (plan, wire, _score) = world.next_query(params);
-        observe_plan(scopes, &plan);
-        let table = params.scope_of(&plan);
-        let fin = 'query: {
-            let delivered = match two_sided_send(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                rq_mr,
-                wire,
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_request", delivered);
-            let bytes = plan.lookups() as u64 * row;
-            let hold =
-                costs.preprocess + costs.mlp_cpu + Span::from_secs_f64(bytes as f64 / costs.core_gather_bw);
-            let start = core_pool.acquire(delivered, hold);
-            tr.leg("core_queue", start);
-            // Socket roofline: the gather bytes queue on the shared link.
-            let roofline_done = gather.transfer(start, bytes).depart;
-            let done = (start + hold).max(roofline_done);
-            tr.leg("gather_compute", done);
-            let fin = match two_sided_send(
-                done,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                client_mr,
-                16,
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_response", fin);
-            tr.finish(fin);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                s.observe_server("cores", &core_pool);
-                s.observe_link("gather", &gather);
-                net.publish_metrics(s, "net");
-            });
-            fin
-        };
         // Scope attribution covers shed queries too: every traced query
         // lands in exactly one embedding-table partition.
-        scopes.record(&scope_names[table], at, fin);
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        resources.observe_server("cores", &core_pool);
-        resources.observe_link("gather", &gather);
-        net.publish_metrics(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
+        observe_plan(req, params, &plan);
+        let delivered =
+            two_sided_send(at, &mut client.rnic, &mut server.rnic, net, &mut server.mem, rq_mr, wire, opts)?;
+        req.leg("fabric_request", delivered);
+        let bytes = plan.lookups() as u64 * row;
+        let hold =
+            costs.preprocess + costs.mlp_cpu + Span::from_secs_f64(bytes as f64 / costs.core_gather_bw);
+        let start = core_pool.acquire(delivered, hold);
+        req.leg("core_queue", start);
+        // Socket roofline: the gather bytes queue on the shared link.
+        let roofline_done = gather.transfer(start, bytes).depart;
+        let done = (start + hold).max(roofline_done);
+        req.leg("gather_compute", done);
+        let fin = two_sided_send(
+            done,
+            &mut server.rnic,
+            &mut client.rnic,
+            net,
+            &mut client.mem,
+            client_mr,
+            16,
+            opts,
+        )?;
+        req.leg("fabric_response", fin);
+        Ok(fin)
+    })
+}
+
+/// Rambda-DLRM's components.
+struct RambdaRig {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    engine: AccelEngine,
+    preprocess_cores: CpuServer,
+    dispatch: Server,
+}
+
+impl Components for RambdaRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.engine.publish_metrics(s, "accel");
+        self.preprocess_cores.publish_metrics(s, "preprocess");
+        s.observe_server("apu_dispatch", &self.dispatch);
     }
-    stats
+
+    fn net(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
 }
 
-/// Rambda-DLRM: accelerator-terminated RPC, CPU pre-processing hand-off,
-/// APU embedding reduction + FC. `location` selects prototype (HostDram) or
-/// the local-memory variants.
-pub fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, location, ctx)
-}
-
-fn run_rambda_inner(
-    testbed: &Testbed,
-    params: &DlrmParams,
-    location: DataLocation,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, false);
-    let mut server = rambda::Machine::new(SERVER, testbed, false);
-    let mut engine = AccelEngine::new(testbed.accel_config(location, true));
+fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation, ctx: SimCtx<'_>) -> RunStats {
+    let mut rig = RambdaRig {
+        net: Network::new(testbed.net.clone()),
+        client: Machine::new(CLIENT, testbed, false),
+        server: Machine::new(SERVER, testbed, false),
+        engine: AccelEngine::new(testbed.accel_config(location, true)),
+        preprocess_cores: CpuServer::new(testbed.cpu.clone(), params.costs.preprocess_cores, 16),
+        dispatch: Server::new(1),
+    };
     let mut world = DlrmWorld::new(params);
-    let mut preprocess_cores = CpuServer::new(testbed.cpu.clone(), params.costs.preprocess_cores, 16);
-    let mut dispatch = Server::new(1);
     let ring_kind = match location {
         DataLocation::LocalDdr => MemKind::AccelDdr,
         DataLocation::LocalHbm => MemKind::AccelHbm,
         _ => MemKind::Dram,
     };
-    let ring_mr = server.rnic.register_region(MrInfo::adaptive(ring_kind));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+    let ring_mr = rig.server.rnic.register_region(MrInfo::adaptive(ring_kind));
+    let client_mr = rig.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
     let req_opts = WriteOpts { post: PostPath::HostMmio, batch: 16, flags: PostFlags::NONE };
     let resp_opts = WriteOpts { post: PostPath::AccelMmio, batch: 16, flags: PostFlags::NONE };
     let row = params.row_bytes();
     let costs = params.costs.clone();
     let clients = params.clients;
     let local_row = (row as f64 * costs.local_gather_overhead) as u64;
-    let scope_names = params.scope_names();
 
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
+        let RambdaRig { net, client, server, engine, preprocess_cores, dispatch } = rig;
         let (plan, wire, _score) = world.next_query(params);
-        observe_plan(scopes, &plan);
-        let table = params.scope_of(&plan);
-        let fin = 'query: {
-            // Request into the accelerator's ring.
-            let out = match rdma_write(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                &mut client.mem,
-                ring_mr,
-                wire,
-                req_opts,
-            ) {
-                Ok(out) => out,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_request", out.delivered_at);
-            let discovered = engine.discover(out.delivered_at, clients, &mut world.rng);
-            tr.leg("coherence", discovered);
-            let start = engine.claim_slot(discovered);
-            tr.leg("dispatch", start);
-            // Hand the raw request to a host core for pre-processing through
-            // the intra-machine ring, and get the model-ready input back.
-            let sent = engine.ring_write(start, wire, &mut server.mem);
-            tr.leg("ring_write", sent);
-            let preprocessed = preprocess_cores.occupy(sent, costs.preprocess);
-            tr.leg("cpu_preprocess", preprocessed);
-            let input_back = engine.ring_read(preprocessed, wire, &mut server.mem);
-            tr.leg("ring_read", input_back);
-            // Scheduler/(de)serializer occupancy (serial per query).
-            let disp = dispatch.acquire(input_back, costs.apu_dispatch) + costs.apu_dispatch;
-            tr.leg("apu_dispatch", disp);
-            // The embedding reduction: 64 outstanding gathers per query
-            // (Sec. IV-C), bandwidth-bound on the chosen memory.
-            let rows = plan.lookups();
-            let gathered = if location.is_host() {
-                engine.gather(disp, rows, row, &mut server.mem)
-            } else {
-                engine.gather(disp, rows, local_row, &mut server.mem)
-            };
-            tr.leg("gather", gathered);
-            // FC layers on the APU, then respond through the RNIC.
-            let fc_done = gathered + costs.mlp_apu;
-            tr.leg("apu_compute", fc_done);
-            let wqe = engine.sq_write_wqe(fc_done);
-            tr.leg("doorbell", wqe);
-            engine.release_slot(discovered, wqe);
-            let resp = match rdma_write(
-                wqe,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                &mut server.mem,
-                client_mr,
-                16,
-                resp_opts,
-            ) {
-                Ok(resp) => resp,
-                Err(e) => break 'query shed(tr, &e),
-            };
-            tr.leg("fabric_response", resp.delivered_at);
-            tr.finish(resp.delivered_at);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                engine.publish_metrics(s, "accel");
-                preprocess_cores.publish_metrics(s, "preprocess");
-                s.observe_server("apu_dispatch", &dispatch);
-                net.publish_metrics(s, "net");
-            });
-            resp.delivered_at
-        };
         // Scope attribution covers shed queries too: every traced query
         // lands in exactly one embedding-table partition.
-        scopes.record(&scope_names[table], at, fin);
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        engine.publish_metrics(resources, "accel");
-        preprocess_cores.publish_metrics(resources, "preprocess");
-        resources.observe_server("apu_dispatch", &dispatch);
-        net.publish_metrics(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
-    stats
-}
-
-/// Charges a memory write without advancing time (placeholder for response
-/// bookkeeping; kept for symmetry and bandwidth accounting in ablations).
-#[allow(dead_code)]
-fn charge_write(mem: &mut MemorySystem, at: rambda_des::SimTime, kind: MemKind, bytes: u64) {
-    mem.access(at, MemReq { kind, access: AccessKind::Write, bytes });
+        observe_plan(req, params, &plan);
+        // Request into the accelerator's ring.
+        let out = rdma_write(
+            at,
+            &mut client.rnic,
+            &mut server.rnic,
+            net,
+            &mut server.mem,
+            &mut client.mem,
+            ring_mr,
+            wire,
+            req_opts,
+        )?;
+        req.leg("fabric_request", out.delivered_at);
+        let discovered = engine.discover(out.delivered_at, clients, &mut world.rng);
+        req.leg("coherence", discovered);
+        let start = engine.claim_slot(discovered);
+        req.leg("dispatch", start);
+        // Hand the raw request to a host core for pre-processing through
+        // the intra-machine ring, and get the model-ready input back.
+        let sent = engine.ring_write(start, wire, &mut server.mem);
+        req.leg("ring_write", sent);
+        let preprocessed = preprocess_cores.occupy(sent, costs.preprocess);
+        req.leg("cpu_preprocess", preprocessed);
+        let input_back = engine.ring_read(preprocessed, wire, &mut server.mem);
+        req.leg("ring_read", input_back);
+        // Scheduler/(de)serializer occupancy (serial per query).
+        let disp = dispatch.acquire(input_back, costs.apu_dispatch) + costs.apu_dispatch;
+        req.leg("apu_dispatch", disp);
+        // The embedding reduction: 64 outstanding gathers per query
+        // (Sec. IV-C), bandwidth-bound on the chosen memory.
+        let rows = plan.lookups();
+        let gathered = if location.is_host() {
+            engine.gather(disp, rows, row, &mut server.mem)
+        } else {
+            engine.gather(disp, rows, local_row, &mut server.mem)
+        };
+        req.leg("gather", gathered);
+        // FC layers on the APU, then respond through the RNIC.
+        let fc_done = gathered + costs.mlp_apu;
+        req.leg("apu_compute", fc_done);
+        let wqe = engine.sq_write_wqe(fc_done);
+        req.leg("doorbell", wqe);
+        engine.release_slot(discovered, wqe);
+        let resp = rdma_write(
+            wqe,
+            &mut server.rnic,
+            &mut client.rnic,
+            net,
+            &mut client.mem,
+            &mut server.mem,
+            client_mr,
+            16,
+            resp_opts,
+        )?;
+        req.leg("fabric_response", resp.delivered_at);
+        Ok(resp.delivered_at)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rambda::SimBuilder;
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    fn cpu_mops(p: &DlrmParams, cores: usize) -> f64 {
+        SimBuilder::new(Design::dlrm_cpu(p.clone(), cores)).config(&tb()).run().throughput_mops()
+    }
+
+    fn rambda_mops(p: &DlrmParams, location: DataLocation) -> f64 {
+        SimBuilder::new(Design::dlrm_rambda(p.clone(), location)).config(&tb()).run().throughput_mops()
     }
 
     fn books() -> DlrmParams {
@@ -482,11 +422,11 @@ mod tests {
     #[test]
     fn fig13_books_matches_paper_bands() {
         let p = books();
-        let c1 = run_cpu(&tb(), &p, 1).throughput_mops();
-        let c8 = run_cpu(&tb(), &p, 8).throughput_mops();
-        let r = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
-        let ld = run_rambda(&tb(), &p, DataLocation::LocalDdr).throughput_mops();
-        let lh = run_rambda(&tb(), &p, DataLocation::LocalHbm).throughput_mops();
+        let c1 = cpu_mops(&p, 1);
+        let c8 = cpu_mops(&p, 8);
+        let r = rambda_mops(&p, DataLocation::HostDram);
+        let ld = rambda_mops(&p, DataLocation::LocalDdr);
+        let lh = rambda_mops(&p, DataLocation::LocalHbm);
 
         // CPU scales ~linearly to 8 cores.
         let scale = c8 / c1;
@@ -507,8 +447,8 @@ mod tests {
     fn fig13_sixteen_cores_saturate() {
         // "scales linearly until eight cores, bounded by memory bandwidth".
         let p = books();
-        let c8 = run_cpu(&tb(), &p, 8).throughput_mops();
-        let c16 = run_cpu(&tb(), &p, 16).throughput_mops();
+        let c8 = cpu_mops(&p, 8);
+        let c16 = cpu_mops(&p, 16);
         let gain = c16 / c8;
         assert!((1.0..1.9).contains(&gain), "16/8 = {gain}");
     }
@@ -518,10 +458,10 @@ mod tests {
         for profile in DlrmProfile::all() {
             let mut p = DlrmParams::quick(profile);
             p.queries = 3_000;
-            let c1 = run_cpu(&tb(), &p, 1).throughput_mops();
-            let c8 = run_cpu(&tb(), &p, 8).throughput_mops();
-            let r = run_rambda(&tb(), &p, DataLocation::HostDram).throughput_mops();
-            let lh = run_rambda(&tb(), &p, DataLocation::LocalHbm).throughput_mops();
+            let c1 = cpu_mops(&p, 1);
+            let c8 = cpu_mops(&p, 8);
+            let r = rambda_mops(&p, DataLocation::HostDram);
+            let lh = rambda_mops(&p, DataLocation::LocalHbm);
             let name = p.profile.name;
             assert!(r < 0.7 * c1, "{name}: rambda {r} vs c1 {c1}");
             assert!(lh > c8, "{name}: lh {lh} vs c8 {c8}");
@@ -533,8 +473,8 @@ mod tests {
     fn merci_beats_native_reduction() {
         let p = books();
         let native = DlrmParams { merci: false, ..p.clone() };
-        let with = run_cpu(&tb(), &p, 8).throughput_mops();
-        let without = run_cpu(&tb(), &native, 8).throughput_mops();
+        let with = cpu_mops(&p, 8);
+        let without = cpu_mops(&native, 8);
         assert!(with > 1.15 * without, "merci {with} vs native {without}");
     }
 

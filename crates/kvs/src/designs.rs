@@ -6,14 +6,14 @@
 //! use the modelled footprint. Keys follow uniform or Zipf-0.9 popularity;
 //! workloads are 100 % GET or 50/50 GET/PUT.
 
-use rambda::{cpu::CpuServer, run_closed_loop, Design, DriverConfig, RunStats, SimCtx, Testbed};
+use rambda::{cpu::CpuServer, Components, Design, DriverConfig, Machine, RunStats, SimCtx, Testbed};
 use rambda_accel::{AccelEngine, Apu, ApuCtx, DataLocation};
-use rambda_des::{Server, SimRng, SimTime, Span};
+use rambda_des::{Server, SimRng, Span};
 use rambda_fabric::{Network, NodeId};
 use rambda_mem::{MemKind, MemorySystem};
-use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, RdmaError, WriteOpts};
+use rambda_metrics::MetricSet;
+use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, WriteOpts};
 use rambda_smartnic::SmartNic;
-use rambda_trace::{ReqObs, Tracer};
 use rambda_workloads::{KeyDist, KvMix, KvOp};
 
 use crate::apu::{KvApu, KvRequest};
@@ -185,302 +185,271 @@ impl KvsParams {
 const CPU_JITTER_P: f64 = 0.02;
 const CPU_JITTER_MEAN_US: f64 = 0.8;
 
-/// Degraded-mode completion: the RDMA layer exhausted its retransmission
-/// budget, so the design sheds the request — the client observes a timeout
-/// at the error-completion time — instead of asserting.
-fn shed(mut tr: ReqObs<'_>, err: &RdmaError) -> SimTime {
-    let at = err.at();
-    tr.leg("shed", at);
-    tr.finish(at);
-    at
-}
-
-/// Forwards the run's injected-fault log from the network to the flight
-/// recorder as instants on the fabric track.
-fn drain_faults(net: &mut Network, tracer: &mut Tracer) {
-    for ev in net.drain_fault_events() {
-        tracer.fault(ev.kind.name(), ev.at, ev.from.0, ev.to.0);
-    }
-}
-
 /// [`Design`] constructors for the KVS experiments, so
 /// [`rambda::SimBuilder`] can run them: `SimBuilder::new(Design::kvs_rambda(p,
 /// location)).faults(f).run()`.
 pub trait KvsDesigns {
-    /// The two-sided CPU design (`kvs.cpu`).
+    /// The CPU design: two-sided RDMA RPC over ten cores
+    /// (HERD/MICA-style), reported as `kvs.cpu`.
     fn kvs_cpu(params: KvsParams) -> Design;
-    /// The Rambda design and its LD/LH variants (`kvs.rambda`).
+    /// The Rambda design and its LD/LH variants via `location`
+    /// (`kvs.rambda`).
     fn kvs_rambda(params: KvsParams, location: DataLocation) -> Design;
-    /// The Smart NIC baseline (`kvs.smartnic`).
+    /// The Smart NIC design: eight ARM cores, 512 MB on-board cache of the
+    /// host data, synchronous one-sided reads to the host on misses
+    /// (`kvs.smartnic`).
     fn kvs_smartnic(params: KvsParams) -> Design;
 }
 
 impl KvsDesigns for Design {
     fn kvs_cpu(params: KvsParams) -> Design {
-        Design::from_runner("kvs.cpu", params.seed, move |tb, ctx| run_cpu_inner(tb, &params, ctx))
+        Design::from_runner("kvs.cpu", params.seed, move |tb, ctx| run_cpu(tb, &params, ctx))
     }
 
     fn kvs_rambda(params: KvsParams, location: DataLocation) -> Design {
-        Design::from_runner("kvs.rambda", params.seed, move |tb, ctx| {
-            run_rambda_inner(tb, &params, location, ctx)
-        })
+        Design::from_runner("kvs.rambda", params.seed, move |tb, ctx| run_rambda(tb, &params, location, ctx))
     }
 
     fn kvs_smartnic(params: KvsParams) -> Design {
-        Design::from_runner("kvs.smartnic", params.seed, move |tb, ctx| run_smartnic_inner(tb, &params, ctx))
+        Design::from_runner("kvs.smartnic", params.seed, move |tb, ctx| run_smartnic(tb, &params, ctx))
     }
 }
 
-/// The CPU design: two-sided RDMA RPC over ten cores (HERD/MICA-style).
-pub fn run_cpu(testbed: &Testbed, params: &KvsParams) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_cpu_inner(testbed, params, ctx)
+/// The CPU design's components.
+struct CpuRig {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    cpu: CpuServer,
 }
 
-fn run_cpu_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, true);
-    let mut server = rambda::Machine::new(SERVER, testbed, true);
-    let mut cpu = CpuServer::new(testbed.cpu.clone(), params.cores, params.batch);
+impl Components for CpuRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.cpu.publish_metrics(s, "cpu");
+    }
+
+    fn net(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
+fn run_cpu(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
+    let mut rig = CpuRig {
+        net: Network::new(testbed.net.clone()),
+        client: Machine::new(CLIENT, testbed, true),
+        server: Machine::new(SERVER, testbed, true),
+        cpu: CpuServer::new(testbed.cpu.clone(), params.cores, params.batch),
+    };
     let mut store = params.loaded_store();
     let mix = params.mix();
     let mut rng = SimRng::seed(params.seed);
-    let scope_names = params.scope_names();
 
-    let rq_mr = server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+    let rq_mr = rig.server.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+    let client_mr = rig.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
     let opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
     let put_value = vec![0xAB; params.value_bytes as usize];
 
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
+        let CpuRig { net, client, server, cpu } = rig;
         let op = mix.next_op(&mut rng);
-        let fin = 'req: {
-            // Request: two-sided send into the server's posted RQ.
-            let delivered = match two_sided_send(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                rq_mr,
-                params.request_bytes(&op),
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_request", delivered);
-            // Re-post the consumed RECV WQE (extra NIC pipeline work of the
-            // two-sided path).
-            let t = server.rnic.next_in_pipeline(delivered);
-            tr.leg("rnic_pipeline", t);
-            // Application processing on a core.
-            let trace = match op {
-                KvOp::Get { key } => store.get(key).1,
-                KvOp::Put { key, .. } => store.put_slice(key, &put_value),
-            };
-            let mut done = cpu.serve_request(
-                t,
-                trace.bucket_reads + trace.value_reads,
-                trace.writes as u64 * 64,
-                MemKind::Dram,
-                &mut server.mem,
-            );
-            if rng.chance(CPU_JITTER_P) {
-                done += Span::from_ns_f64(1000.0 * rng.exp(CPU_JITTER_MEAN_US));
-            }
-            tr.leg("cpu_serve", done);
-            // Response: two-sided back to the client.
-            let fin = match two_sided_send(
-                done,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                client_mr,
-                params.response_bytes(&op),
-                opts,
-            ) {
-                Ok(t) => t,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_response", fin);
-            tr.finish(fin);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                cpu.publish_metrics(s, "cpu");
-                net.publish_metrics(s, "net");
-            });
-            fin
-        };
         // Scope attribution covers shed requests too: every traced request
         // lands in exactly one key-range shard.
-        scopes.record(&scope_names[params.scope_of(op.key())], at, fin);
-        scopes.observe_key(op.key());
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        cpu.publish_metrics(resources, "cpu");
-        net.publish_metrics(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
+        req.scope(params.scope_of(op.key()));
+        req.key(op.key());
+        // Request: two-sided send into the server's posted RQ.
+        let delivered = two_sided_send(
+            at,
+            &mut client.rnic,
+            &mut server.rnic,
+            net,
+            &mut server.mem,
+            rq_mr,
+            params.request_bytes(&op),
+            opts,
+        )?;
+        req.leg("fabric_request", delivered);
+        // Re-post the consumed RECV WQE (extra NIC pipeline work of the
+        // two-sided path).
+        let t = server.rnic.next_in_pipeline(delivered);
+        req.leg("rnic_pipeline", t);
+        // Application processing on a core.
+        let trace = match op {
+            KvOp::Get { key } => store.get(key).1,
+            KvOp::Put { key, .. } => store.put_slice(key, &put_value),
+        };
+        let mut done = cpu.serve_request(
+            t,
+            trace.bucket_reads + trace.value_reads,
+            trace.writes as u64 * 64,
+            MemKind::Dram,
+            &mut server.mem,
+        );
+        if rng.chance(CPU_JITTER_P) {
+            done += Span::from_ns_f64(1000.0 * rng.exp(CPU_JITTER_MEAN_US));
+        }
+        req.leg("cpu_serve", done);
+        // Response: two-sided back to the client.
+        let fin = two_sided_send(
+            done,
+            &mut server.rnic,
+            &mut client.rnic,
+            net,
+            &mut client.mem,
+            client_mr,
+            params.response_bytes(&op),
+            opts,
+        )?;
+        req.leg("fabric_response", fin);
+        Ok(fin)
+    })
+}
+
+/// The Rambda design's components.
+struct RambdaRig {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    engine: AccelEngine,
+    /// The SQ handler: serializes WQE assembly + doorbells.
+    sq: Server,
+}
+
+impl Components for RambdaRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.engine.publish_metrics(s, "accel");
+        s.observe_server("sq", &self.sq);
     }
-    stats
+
+    fn net(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
 }
 
-/// The Rambda design (and its LD/LH variants via `location`).
-pub fn run_rambda(testbed: &Testbed, params: &KvsParams, location: DataLocation) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_rambda_inner(testbed, params, location, ctx)
-}
-
-fn run_rambda_inner(
-    testbed: &Testbed,
-    params: &KvsParams,
-    location: DataLocation,
-    ctx: SimCtx<'_>,
-) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
+fn run_rambda(testbed: &Testbed, params: &KvsParams, location: DataLocation, ctx: SimCtx<'_>) -> RunStats {
     // Adaptive DDIO: global DDIO off, TPH per region (all DRAM here).
-    let mut client = rambda::Machine::new(CLIENT, testbed, false);
-    let mut server = rambda::Machine::new(SERVER, testbed, false);
-    let mut engine = AccelEngine::new(testbed.accel_config(location, true));
+    let mut rig = RambdaRig {
+        net: Network::new(testbed.net.clone()),
+        client: Machine::new(CLIENT, testbed, false),
+        server: Machine::new(SERVER, testbed, false),
+        engine: AccelEngine::new(testbed.accel_config(location, true)),
+        sq: Server::new(1),
+    };
     let mut apu = KvApu::new(params.loaded_store());
     let mix = params.mix();
     let mut rng = SimRng::seed(params.seed);
     let clients = params.clients;
-    let scope_names = params.scope_names();
 
     let ring_kind = match location {
         DataLocation::LocalDdr => MemKind::AccelDdr,
         DataLocation::LocalHbm => MemKind::AccelHbm,
         _ => MemKind::Dram,
     };
-    let ring_mr = server.rnic.register_region(MrInfo::adaptive(ring_kind));
-    let client_mr = client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
+    let ring_mr = rig.server.rnic.register_region(MrInfo::adaptive(ring_kind));
+    let client_mr = rig.client.rnic.register_region(MrInfo::adaptive(MemKind::Dram));
     let req_opts = WriteOpts { post: PostPath::HostMmio, batch: params.batch, flags: PostFlags::NONE };
     let resp_opts = WriteOpts { post: PostPath::AccelMmio, batch: params.batch, flags: PostFlags::NONE };
-    // The SQ handler serializes WQE assembly + doorbells; batching amortizes
-    // the MMIO+sfence (Sec. VI-B's ~2x batching gain for Rambda).
-    let mut sq = Server::new(1);
+    // Batching amortizes the SQ handler's MMIO+sfence (Sec. VI-B's ~2x
+    // batching gain for Rambda).
     let sq_hold = Span::from_ns(165).mul_f64(1.0 / params.batch as f64) + Span::from_ns(5);
 
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
+        let RambdaRig { net, client, server, engine, sq } = rig;
         let op = mix.next_op(&mut rng);
-        let fin = 'req: {
-            // One-sided write into the request ring (cpoll region).
-            let out = match rdma_write(
-                at,
-                &mut client.rnic,
-                &mut server.rnic,
-                &mut net,
-                &mut server.mem,
-                &mut client.mem,
-                ring_mr,
-                params.request_bytes(&op),
-                req_opts,
-            ) {
-                Ok(out) => out,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_request", out.delivered_at);
-            // cpoll discovery + scheduler dispatch.
-            let discovered = engine.discover(out.delivered_at, clients, &mut rng);
-            tr.leg("coherence", discovered);
-            let start = engine.claim_slot(discovered);
-            tr.leg("dispatch", start);
-            // Fetch the request entry from the ring.
-            let fetched = if location.is_host() {
-                engine.ring_read(start, params.request_bytes(&op), &mut server.mem)
-            } else {
-                engine.mem_access(start, params.request_bytes(&op), false, &mut server.mem)
-            };
-            tr.leg("ring_read", fetched);
-            // APU processing (hash + walk + value).
-            let mut ctx = ApuCtx::new(&mut engine, &mut server.mem, fetched);
-            let _resp = apu.process(params.to_request(&op), &mut ctx);
-            let done = ctx.now();
-            tr.leg("apu_compute", done);
-            // SQ handler: assemble WQE, write it to the WQ, ring the doorbell.
-            let wqe = engine.sq_write_wqe(done);
-            tr.leg("sq_wqe", wqe);
-            let db_start = sq.acquire(wqe, sq_hold);
-            let emitted = db_start + sq_hold;
-            tr.leg("doorbell", emitted);
-            engine.release_slot(discovered, emitted);
-            // Response by one-sided write back to the client's response ring.
-            let resp = match rdma_write(
-                emitted,
-                &mut server.rnic,
-                &mut client.rnic,
-                &mut net,
-                &mut client.mem,
-                &mut server.mem,
-                client_mr,
-                params.response_bytes(&op),
-                resp_opts,
-            ) {
-                Ok(out) => out,
-                Err(e) => break 'req shed(tr, &e),
-            };
-            tr.leg("fabric_response", resp.delivered_at);
-            tr.finish(resp.delivered_at);
-            tracer.sample_with(rec, at, |s| {
-                client.publish_metrics(s, "client");
-                server.publish_metrics(s, "server");
-                engine.publish_metrics(s, "accel");
-                s.observe_server("sq", &sq);
-                net.publish_metrics(s, "net");
-            });
-            resp.delivered_at
-        };
         // Scope attribution covers shed requests too: every traced request
         // lands in exactly one key-range shard.
-        scopes.record(&scope_names[params.scope_of(op.key())], at, fin);
-        scopes.observe_key(op.key());
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        engine.publish_metrics(resources, "accel");
-        resources.observe_server("sq", &sq);
-        net.publish_metrics(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
+        req.scope(params.scope_of(op.key()));
+        req.key(op.key());
+        // One-sided write into the request ring (cpoll region).
+        let out = rdma_write(
+            at,
+            &mut client.rnic,
+            &mut server.rnic,
+            net,
+            &mut server.mem,
+            &mut client.mem,
+            ring_mr,
+            params.request_bytes(&op),
+            req_opts,
+        )?;
+        req.leg("fabric_request", out.delivered_at);
+        // cpoll discovery + scheduler dispatch.
+        let discovered = engine.discover(out.delivered_at, clients, &mut rng);
+        req.leg("coherence", discovered);
+        let start = engine.claim_slot(discovered);
+        req.leg("dispatch", start);
+        // Fetch the request entry from the ring.
+        let fetched = if location.is_host() {
+            engine.ring_read(start, params.request_bytes(&op), &mut server.mem)
+        } else {
+            engine.mem_access(start, params.request_bytes(&op), false, &mut server.mem)
+        };
+        req.leg("ring_read", fetched);
+        // APU processing (hash + walk + value).
+        let mut ctx = ApuCtx::new(engine, &mut server.mem, fetched);
+        let _resp = apu.process(params.to_request(&op), &mut ctx);
+        let done = ctx.now();
+        req.leg("apu_compute", done);
+        // SQ handler: assemble WQE, write it to the WQ, ring the doorbell.
+        let wqe = engine.sq_write_wqe(done);
+        req.leg("sq_wqe", wqe);
+        let db_start = sq.acquire(wqe, sq_hold);
+        let emitted = db_start + sq_hold;
+        req.leg("doorbell", emitted);
+        engine.release_slot(discovered, emitted);
+        // Response by one-sided write back to the client's response ring.
+        let resp = rdma_write(
+            emitted,
+            &mut server.rnic,
+            &mut client.rnic,
+            net,
+            &mut client.mem,
+            &mut server.mem,
+            client_mr,
+            params.response_bytes(&op),
+            resp_opts,
+        )?;
+        req.leg("fabric_response", resp.delivered_at);
+        Ok(resp.delivered_at)
+    })
+}
+
+/// The Smart NIC design's components.
+struct SmartNicRig {
+    net: Network,
+    client: Machine,
+    server: Machine,
+    nic: SmartNic,
+    nic_mem: MemorySystem,
+}
+
+impl Components for SmartNicRig {
+    fn publish(&self, s: &mut MetricSet) {
+        self.client.publish_metrics(s, "client");
+        self.server.publish_metrics(s, "server");
+        self.nic.publish_metrics(s, "smartnic");
+        self.nic_mem.publish_metrics(s, "nic_mem");
     }
-    stats
-}
 
-/// The Smart NIC design: eight ARM cores, 512 MB on-board cache of the host
-/// data, synchronous one-sided reads to the host on misses.
-pub fn run_smartnic(testbed: &Testbed, params: &KvsParams) -> RunStats {
-    rambda::rambda_stats_only_ctx!(ctx);
-    run_smartnic_inner(testbed, params, ctx)
-}
-
-fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
-    let SimCtx { rec, resources, tracer, faults, scopes } = ctx;
     // The Smart NIC path models raw Ethernet sends (its RPC transport hides
     // recovery in firmware), so only degrade windows of the fault plan
     // reach it — drop/corrupt verdicts apply to RC-QP `transmit`s.
-    let mut net = Network::new(testbed.net.clone());
-    net.install_faults(faults);
-    let mut client = rambda::Machine::new(CLIENT, testbed, true);
-    let mut server = rambda::Machine::new(SERVER, testbed, true);
-    let mut nic = SmartNic::new(testbed.smartnic.clone());
-    let mut nic_mem = MemorySystem::new(testbed.mem.clone(), true);
+    fn net(&mut self) -> Option<&mut Network> {
+        Some(&mut self.net)
+    }
+}
+
+fn run_smartnic(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) -> RunStats {
+    let mut rig = SmartNicRig {
+        net: Network::new(testbed.net.clone()),
+        client: Machine::new(CLIENT, testbed, true),
+        server: Machine::new(SERVER, testbed, true),
+        nic: SmartNic::new(testbed.smartnic.clone()),
+        nic_mem: MemorySystem::new(testbed.mem.clone(), true),
+    };
     let mut store = params.loaded_store();
     let mix = params.mix();
     let mut rng = SimRng::seed(params.seed);
@@ -490,27 +459,28 @@ fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) ->
     let cache_items = (testbed.smartnic.cache_bytes as f64 / params.modeled_footprint_bytes() as f64
         * params.pairs as f64) as u64;
     let hit_rate = params.dist().hot_mass(cache_items);
-    let wqe_gap = client.rnic.config().wqe_gap;
+    let wqe_gap = rig.client.rnic.config().wqe_gap;
     let put_value = vec![0xAB; params.value_bytes as usize];
-    let scope_names = params.scope_names();
 
-    let stats = run_closed_loop(&params.driver(), |_c, at| {
-        let mut tr = tracer.observe(rec, at);
+    ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
+        let SmartNicRig { net, client, server, nic, nic_mem } = rig;
         let op = mix.next_op(&mut rng);
+        req.scope(params.scope_of(op.key()));
+        req.key(op.key());
         // Client posts; request terminates at the Smart NIC (no host PCIe).
         let posted = if params.batch == 1 {
             client.rnic.post(at, PostPath::HostMmio, 1)
         } else {
             client.rnic.next_in_pipeline(at + wqe_gap.mul_f64(1.0 / params.batch as f64))
         };
-        tr.leg("doorbell", posted);
+        req.leg("doorbell", posted);
         let arrived = net.send(posted, CLIENT, SERVER, params.request_bytes(&op));
         let arrived = server.rnic.rx_process(arrived);
-        tr.leg("fabric_request", arrived);
+        req.leg("fabric_request", arrived);
         // ARM core walks the structure; each access hits the on-board cache
         // with `hit_rate`, else crosses PCIe synchronously.
         let start = nic.begin_request(arrived);
-        tr.leg("arm_dispatch", start);
+        req.leg("arm_dispatch", start);
         let trace = match op {
             KvOp::Get { key } => store.get(key).1,
             KvOp::Put { key, .. } => store.put_slice(key, &put_value),
@@ -518,48 +488,41 @@ fn run_smartnic_inner(testbed: &Testbed, params: &KvsParams, ctx: SimCtx<'_>) ->
         let mut t = start;
         for _ in 0..(trace.bucket_reads + trace.value_reads) {
             let local = rng.chance(hit_rate);
-            t = nic.mem_access(t, 64, false, local, &mut nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
+            t = nic.mem_access(t, 64, false, local, nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
         }
         for _ in 0..trace.writes {
             let local = rng.chance(hit_rate);
-            t = nic.mem_access(t, 64, true, local, &mut nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
+            t = nic.mem_access(t, 64, true, local, nic_mem, &mut server.mem, MemKind::Dram, &mut rng);
         }
-        tr.leg("arm_mem_access", t);
+        req.leg("arm_mem_access", t);
         nic.end_request(arrived, t);
         // Response straight from the NIC.
         let fin = net.send(t, SERVER, CLIENT, params.response_bytes(&op));
-        tr.leg("fabric_response", fin);
-        tr.finish(fin);
-        scopes.record(&scope_names[params.scope_of(op.key())], at, fin);
-        scopes.observe_key(op.key());
-        tracer.sample_with(rec, at, |s| {
-            client.publish_metrics(s, "client");
-            server.publish_metrics(s, "server");
-            nic.publish_metrics(s, "smartnic");
-            nic_mem.publish_metrics(s, "nic_mem");
-            net.publish_metrics(s, "net");
-        });
-        fin
-    });
-    drain_faults(&mut net, tracer);
-    if rec.is_active() {
-        client.publish_metrics(resources, "client");
-        server.publish_metrics(resources, "server");
-        nic.publish_metrics(resources, "smartnic");
-        nic_mem.publish_metrics(resources, "nic_mem");
-        net.publish_metrics(resources, "net");
-        net.publish_scoped(scopes, "net");
-        tracer.final_sample(SimTime::ZERO + stats.makespan, resources);
-    }
-    stats
+        req.leg("fabric_response", fin);
+        Ok(fin)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rambda::SimBuilder;
+    use rambda_metrics::RunReport;
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    fn run_cpu(tb: &Testbed, p: &KvsParams) -> RunReport {
+        SimBuilder::new(Design::kvs_cpu(p.clone())).config(tb).run()
+    }
+
+    fn run_rambda(tb: &Testbed, p: &KvsParams, location: DataLocation) -> RunReport {
+        SimBuilder::new(Design::kvs_rambda(p.clone(), location)).config(tb).run()
+    }
+
+    fn run_smartnic(tb: &Testbed, p: &KvsParams) -> RunReport {
+        SimBuilder::new(Design::kvs_smartnic(p.clone())).config(tb).run()
     }
 
     #[test]
@@ -626,8 +589,8 @@ mod tests {
         // saturation identity, dominates.
         let mut p = KvsParams::quick();
         p.window = 2;
-        let cpu = run_cpu(&tb(), &p);
-        let rambda = run_rambda(&tb(), &p, DataLocation::HostDram);
+        let cpu = run_cpu(&tb(), &p).latency;
+        let rambda = run_rambda(&tb(), &p, DataLocation::HostDram).latency;
         assert!(
             rambda.p99_us() < 0.9 * cpu.p99_us(),
             "rambda p99 {} vs cpu p99 {}",
@@ -645,8 +608,8 @@ mod tests {
     #[test]
     fn fig9_smartnic_latency_suffers_under_uniform() {
         let p = KvsParams::quick();
-        let snic = run_smartnic(&tb(), &p);
-        let cpu = run_cpu(&tb(), &p);
+        let snic = run_smartnic(&tb(), &p).latency;
+        let cpu = run_cpu(&tb(), &p).latency;
         assert!(snic.mean_us() > 1.5 * cpu.mean_us(), "snic {} cpu {}", snic.mean_us(), cpu.mean_us());
     }
 
@@ -699,8 +662,8 @@ mod tests {
         // "Rambda does not need to wait for a full batch to start
         // processing": its latency grows far slower than CPU's with batch.
         let mk = |b| KvsParams::quick().with_zipf(0.9).with_batch(b);
-        let r1 = run_rambda(&tb(), &mk(1), DataLocation::HostDram).mean_us();
-        let r32 = run_rambda(&tb(), &mk(32), DataLocation::HostDram).mean_us();
+        let r1 = run_rambda(&tb(), &mk(1), DataLocation::HostDram).latency.mean_us();
+        let r32 = run_rambda(&tb(), &mk(32), DataLocation::HostDram).latency.mean_us();
         assert!(r32 < 4.0 * r1, "rambda latency {r1} -> {r32}");
     }
 }

@@ -1,7 +1,7 @@
 //! # rambda-metrics — the deterministic run-report observability layer.
 //!
 //! Every serving design in the workspace produces the same headline numbers
-//! (`RunStats`: throughput + a latency histogram). This crate adds the layer
+//! (throughput + a latency histogram). This crate adds the layer
 //! underneath: *where the time goes and which resource it goes to*.
 //!
 //! Three pieces compose:

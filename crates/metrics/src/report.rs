@@ -60,6 +60,11 @@ impl HistSummary {
         self.mean_ps as f64 / 1.0e6
     }
 
+    /// 99th percentile in microseconds.
+    pub fn p99_us(&self) -> f64 {
+        self.p99_ps as f64 / 1.0e6
+    }
+
     pub(crate) fn to_json(self) -> Json {
         let mut o = Json::obj();
         o.push("count", Json::U64(self.count));
@@ -80,10 +85,9 @@ impl HistSummary {
 /// issue→completion total over the same requests.
 #[derive(Debug, Clone)]
 pub struct StageRecorder {
-    active: bool,
     stages: BTreeMap<&'static str, Histogram>,
     total: Histogram,
-    timeline: Option<Timeline>,
+    timeline: Timeline,
     timeline_summary: Option<TimelineSummary>,
 }
 
@@ -92,49 +96,23 @@ impl StageRecorder {
     /// every [`StageRecorder::request`] completion.
     pub fn active() -> Self {
         StageRecorder {
-            active: true,
             stages: BTreeMap::new(),
             total: Histogram::new(),
-            timeline: Some(Timeline::default()),
+            timeline: Timeline::default(),
             timeline_summary: None,
         }
-    }
-
-    /// A no-op recorder for uninstrumented runs (every call is a cheap
-    /// branch, so the plain `run_*` entry points share the serve code).
-    pub fn disabled() -> Self {
-        StageRecorder {
-            active: false,
-            stages: BTreeMap::new(),
-            total: Histogram::new(),
-            timeline: None,
-            timeline_summary: None,
-        }
-    }
-
-    /// Whether this recorder records.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Records `to - from` under `stage`.
     pub fn segment(&mut self, stage: &'static str, from: SimTime, to: SimTime) {
-        if !self.active {
-            return;
-        }
         self.stages.entry(stage).or_default().record(to.saturating_since(from));
     }
 
     /// Records one request's issue→completion total (and buckets it into
     /// the timeline window its completion falls in).
     pub fn request(&mut self, issued: SimTime, done: SimTime) {
-        if !self.active {
-            return;
-        }
         self.total.record(done.saturating_since(issued));
-        if let Some(tl) = &mut self.timeline {
-            tl.record(issued, done);
-        }
+        self.timeline.record(issued, done);
     }
 
     /// Opens a per-request trace cursor at `issued`.
@@ -160,23 +138,19 @@ impl StageRecorder {
     /// If the timeline's snapshot grid is due at `now`, returns the tick to
     /// stamp a counter snapshot with (see [`StageRecorder::timeline_snapshot`]).
     pub fn timeline_due(&mut self, now: SimTime) -> Option<SimTime> {
-        self.timeline.as_mut()?.due(now)
+        self.timeline.due(now)
     }
 
     /// Stores `set`'s cumulative counters as the timeline snapshot at `tick`.
     pub fn timeline_snapshot(&mut self, tick: SimTime, set: &MetricSet) {
-        if let Some(tl) = &mut self.timeline {
-            tl.snapshot(tick, set);
-        }
+        self.timeline.snapshot(tick, set);
     }
 
     /// Folds the live timeline into its bounded summary; called once by the
     /// report assembly glue with the run makespan and the final resource
     /// counters. A second call overwrites the first.
     pub fn finalize_timeline(&mut self, makespan: Span, finals: &MetricSet) {
-        if let Some(tl) = &self.timeline {
-            self.timeline_summary = Some(tl.finalize(makespan, finals));
-        }
+        self.timeline_summary = Some(self.timeline.finalize(makespan, finals));
     }
 
     /// The finalized timeline, if [`StageRecorder::finalize_timeline`] ran.
@@ -217,7 +191,7 @@ impl ReqTrace<'_> {
     /// [`RunReport::validate`] catches it in release builds.
     pub fn finish(self, done: SimTime) {
         debug_assert!(
-            !self.rec.active || done == self.cursor,
+            done == self.cursor,
             "trace finished at {done:?} but legs cover up to {:?}",
             self.cursor
         );
@@ -239,7 +213,8 @@ pub struct RunReport {
     pub throughput_ops: f64,
     /// Simulated time of the last completion (run makespan), picoseconds.
     pub elapsed_ps: u64,
-    /// Post-warm-up issue→response latency (what `RunStats` reports).
+    /// Post-warm-up issue→response latency (the closed loop's measured
+    /// histogram).
     pub latency: HistSummary,
     /// Issue→response latency over *all* traced requests (warm-up included).
     pub total: HistSummary,
@@ -288,6 +263,11 @@ impl RunReport {
         };
         report.publish_utilization();
         report
+    }
+
+    /// Steady-state throughput in Mops.
+    pub fn throughput_mops(&self) -> f64 {
+        self.throughput_ops / 1.0e6
     }
 
     /// Attaches the event-core telemetry section: stores the summary and
@@ -859,17 +839,6 @@ mod tests {
         assert!(rec.stage("missing").is_none());
     }
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut rec = StageRecorder::disabled();
-        let mut tr = rec.trace(ns(0));
-        tr.leg("fabric", ns(10));
-        tr.finish(ns(10));
-        assert!(!rec.is_active());
-        assert_eq!(rec.total().count(), 0);
-        assert_eq!(rec.stages().count(), 0);
-    }
-
     fn sample_report(drop_a_leg: bool) -> RunReport {
         let mut rec = StageRecorder::active();
         let mut latency = Histogram::new();
@@ -913,6 +882,57 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let share: f64 = rows.iter().map(|(_, _, s)| s).sum();
         assert!((share - 1.0).abs() < 1e-9, "shares sum to {share}");
+    }
+
+    #[test]
+    fn report_from_driver_stats_validates() {
+        // A two-client closed loop against one two-unit server, assembled
+        // the way the simulation builder does: the measured stats become
+        // the headline summary and the timeline is closed against the
+        // makespan and the final resource counters.
+        let mut server = rambda_des::Server::new(2);
+        let mut rec = StageRecorder::active();
+        let mut latency = Histogram::new();
+        let mut next_issue = [SimTime::ZERO; 2];
+        let mut makespan = SimTime::ZERO;
+        let requests = 5_000u64;
+        for _ in 0..requests {
+            let c = if next_issue[1] < next_issue[0] { 1 } else { 0 };
+            let at = next_issue[c];
+            let mut tr = rec.trace(at);
+            let start = server.acquire(at, Span::from_ns(100));
+            tr.leg("queue", start);
+            let done = start + Span::from_ns(100);
+            tr.leg("service", done);
+            tr.finish(done);
+            latency.record(done - at);
+            next_issue[c] = done;
+            makespan = makespan.max(done);
+        }
+        let elapsed = makespan - SimTime::ZERO;
+        let mut resources = MetricSet::new();
+        resources.observe_server("server", &server);
+        rec.finalize_timeline(elapsed, &resources);
+        let throughput = requests as f64 / (elapsed.as_ps() as f64 * 1e-12);
+        let report = RunReport::new(
+            "driver.test",
+            0,
+            requests,
+            throughput,
+            elapsed,
+            HistSummary::of(&latency),
+            &rec,
+            resources,
+        );
+        report.validate().expect("consistent report");
+        let tl = report.timeline.as_ref().expect("active recorder carries a timeline");
+        assert_eq!(tl.merged, report.total);
+        let busy: u64 = tl.resources.iter().find(|r| r.name == "server").unwrap().busy_delta_ps.iter().sum();
+        assert_eq!(busy, report.resources.counter("server.busy_ps").unwrap());
+        assert_eq!(report.completed, requests);
+        assert!(report.resources.counter("server.acquisitions").unwrap() >= requests);
+        let util = report.resources.gauge_value("server.utilization").unwrap();
+        assert!(util > 0.0 && util <= 1.0, "utilization {util}");
     }
 
     #[test]

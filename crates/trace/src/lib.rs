@@ -3,9 +3,10 @@
 //! The RunReport layer (`rambda-metrics`) answers *aggregate* questions —
 //! stage sums, whole-run percentiles. This crate answers the per-request
 //! ones the paper's Figs. 1/9/11 reasoning needs: where did the *slowest*
-//! requests spend their microseconds, and on which resource? A [`Tracer`]
-//! is threaded through a runner's serve closure alongside the
-//! `StageRecorder`; when enabled it records, per request:
+//! requests spend their microseconds, and on which resource? The framework
+//! (`rambda::SimCtx::run`) threads a [`Tracer`] through every runner's
+//! serve closure alongside the `StageRecorder`; when enabled it records,
+//! per request:
 //!
 //! * one [`TraceEvent::Span`] per critical-path leg, carrying a causal
 //!   parent id (the enclosing request span) and a [`Track`] classifying the
@@ -31,12 +32,13 @@
 //! [`Tracer::cross_validate`] checks a trace against the run's
 //! [`rambda_metrics::RunReport`]: traced leg spans must partition every
 //! traced request total exactly (and therefore the aggregate stage sums),
-//! and the final counter samples must equal the report's resource counters
-//! — the sampler integral of busy-time matches the resources' busy-time.
+//! the final counter samples must equal the report's resource counters
+//! — the sampler integral of busy-time matches the resources' busy-time —
+//! and every sampled counter must be one the report publishes.
 //!
 //! When disabled ([`Tracer::disabled`]), every call is a branch on a
-//! `None`, so the plain `run_*` entry points share the instrumented serve
-//! code at no measurable cost.
+//! `None`, so a run without a flight recorder shares the instrumented
+//! serve code at no measurable cost.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

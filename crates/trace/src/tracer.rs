@@ -197,9 +197,9 @@ impl Tracer {
         }
     }
 
-    /// Records one injected fabric fault as an instant event. Runners drain
-    /// their network's fault-event log through this after the run (the ops
-    /// layer has no tracer access), so `at` may lie in the past relative to
+    /// Records one injected fabric fault as an instant event. The framework
+    /// drains a run's network fault-event log through this after the run
+    /// (the ops layer has no tracer access), so `at` may lie in the past relative to
     /// the ring's newest event — consumers order by timestamp, not ring
     /// position.
     pub fn fault(&mut self, kind: &'static str, at: SimTime, from: u16, to: u16) {

@@ -5,7 +5,7 @@
 //! sampler mirrors the resources' own counters), so agreement between them
 //! is a real end-to-end check, not a tautology.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rambda_metrics::{MetricSet, RunReport};
 
@@ -50,7 +50,10 @@ impl Tracer {
     ///    worst-case resolution of the exact trace percentiles;
     /// 8. the final counter samples equal the report's resource counters
     ///    (so the sampler's last integral matches the resources' own busy
-    ///    time), taken at the report's makespan.
+    ///    time), taken at the report's makespan;
+    /// 9. every counter sampled anywhere in the trace — periodic samples
+    ///    included — is one the report publishes (a sample list that drifts
+    ///    from the final publisher list fails here).
     ///
     /// Because of (3) + (5), the integral of the derived
     /// outstanding-requests series equals the report's total latency sum —
@@ -71,6 +74,7 @@ impl Tracer {
         let mut req_leg_sums: BTreeMap<u64, u64> = BTreeMap::new();
         let mut stage_sums: BTreeMap<&str, (u64, u128)> = BTreeMap::new();
         let mut total_sum: u128 = 0;
+        let mut sampled: BTreeSet<&str> = BTreeSet::new();
         for ev in self.events() {
             match ev {
                 TraceEvent::Span { req, stage, start_ps, end_ps, .. } => {
@@ -83,7 +87,10 @@ impl Tracer {
                     req_totals.insert(*req, end_ps - start_ps);
                     total_sum += u128::from(end_ps - start_ps);
                 }
-                TraceEvent::Sample { .. } | TraceEvent::Fault { .. } => {}
+                TraceEvent::Sample { name, .. } => {
+                    sampled.insert(name);
+                }
+                TraceEvent::Fault { .. } => {}
             }
         }
 
@@ -158,7 +165,7 @@ impl Tracer {
                 ));
             }
         }
-        if let Some((name, _)) = finals.iter().find(|(n, _)| report.resources.counter(n).is_none()) {
+        if let Some(name) = sampled.iter().find(|n| report.resources.counter(n).is_none()) {
             return Err(format!("trace sampled counter {name} that the report does not publish"));
         }
         Ok(())
@@ -234,6 +241,18 @@ mod tests {
         report.resources.set("accel.ops", 51);
         let err = tracer.cross_validate(&report).unwrap_err();
         assert!(err.contains("accel.ops"), "{err}");
+    }
+
+    #[test]
+    fn periodic_sample_of_an_unpublished_counter_fails() {
+        // A periodic sample list that names a counter the final publisher
+        // list drops: the final snapshot still matches the report, so only
+        // the periodic samples can catch the drift.
+        let mut tracer = Tracer::flight_recorder();
+        tracer.maybe_sample(SimTime::from_us(60), |s| s.set("accel.ghost_ops", 1));
+        let report = run(&mut tracer);
+        let err = tracer.cross_validate(&report).unwrap_err();
+        assert!(err.contains("accel.ghost_ops"), "{err}");
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod designs;
 pub mod store;
 
 pub use chain::{Chain, ConcurrencyControl, TxnOutcome, TxnWrite};
-pub use designs::{run_hyperloop, run_pure_reads, run_rambda_tx, TxnDesigns, TxnParams};
+pub use designs::{TxnDesigns, TxnParams};
 pub use store::{LogRecord, PersistentStore, WalRecord};

@@ -1,57 +1,48 @@
 //! Reproducibility: every experiment is a deterministic function of its
 //! seed — identical runs, bit-for-bit identical statistics.
 
-use rambda::micro::{run_cpu, run_rambda, MicroParams};
+use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
-use rambda_kvs::designs as kvs;
 use rambda_kvs::{KvsDesigns, KvsParams};
-use rambda_metrics::RunReport;
 use rambda_trace::Tracer;
-use rambda_txn::{run_rambda_tx, TxnParams};
+use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
 
-fn same(a: &rambda::RunStats, b: &rambda::RunStats) -> bool {
-    a.completed == b.completed
-        && a.throughput_ops == b.throughput_ops
-        && a.latency.mean() == b.latency.mean()
-        && a.latency.percentile(0.99) == b.latency.percentile(0.99)
+/// Runs `design` on the default testbed and renders its report.
+fn json(design: Design) -> String {
+    SimBuilder::new(design).config(&Testbed::default()).run().to_json_string()
 }
 
 #[test]
 fn micro_runs_are_reproducible() {
-    let tb = Testbed::default();
     let p = MicroParams::quick();
-    let a = run_rambda(&tb, p, DataLocation::HostDram, true, 7);
-    let b = run_rambda(&tb, p, DataLocation::HostDram, true, 7);
-    assert!(same(&a, &b));
-    let c = run_rambda(&tb, p.with_nvm(), DataLocation::HostDram, false, 7);
-    let d = run_rambda(&tb, p.with_nvm(), DataLocation::HostDram, false, 7);
-    assert!(same(&c, &d));
+    let dram_cpoll = || Design::micro_rambda(p, DataLocation::HostDram, true, 7);
+    assert_eq!(json(dram_cpoll()), json(dram_cpoll()));
+    let nvm_spin_poll = || Design::micro_rambda(p.with_nvm(), DataLocation::HostDram, false, 7);
+    assert_eq!(json(nvm_spin_poll()), json(nvm_spin_poll()));
     // The CPU run takes no seed: fully deterministic.
-    assert!(same(&run_cpu(&tb, p, 4, 16), &run_cpu(&tb, p, 4, 16)));
+    assert_eq!(json(Design::micro_cpu(p, 4, 16)), json(Design::micro_cpu(p, 4, 16)));
 }
 
 #[test]
 fn kvs_runs_are_reproducible_and_seed_sensitive() {
-    let tb = Testbed::default();
     let p = KvsParams { requests: 10_000, ..KvsParams::quick() }.with_zipf(0.9);
-    let a = kvs::run_rambda(&tb, &p, DataLocation::HostDram);
-    let b = kvs::run_rambda(&tb, &p, DataLocation::HostDram);
-    assert!(same(&a, &b));
+    let rambda = || Design::kvs_rambda(p.clone(), DataLocation::HostDram);
+    assert_eq!(json(rambda()), json(rambda()));
 
     let mut p2 = p.clone();
     p2.seed = p.seed + 1;
-    let c = kvs::run_cpu(&tb, &p);
-    let d = kvs::run_cpu(&tb, &p2);
+    let c = SimBuilder::new(Design::kvs_cpu(p)).run();
+    let d = SimBuilder::new(Design::kvs_cpu(p2)).run();
     // A different seed produces a (slightly) different run.
-    assert!(c.latency.mean() != d.latency.mean() || c.throughput_ops != d.throughput_ops);
+    assert!(c.latency.mean_ps != d.latency.mean_ps || c.throughput_ops != d.throughput_ops);
 }
 
 #[test]
 fn every_runner_report_is_byte_identical_across_runs() {
-    // Stronger than `same()`: each runner is executed twice in fresh worlds
-    // and must render byte-identical RunReport JSON — the exact property the
+    // Each runner is executed twice in fresh worlds and must render
+    // byte-identical RunReport JSON — the exact property the
     // golden snapshots and CI gate rely on (DESIGN.md §8). This covers every
     // design, including the runners the golden files do not snapshot, so a
     // nondeterministic container sneaking into any simulator state (the
@@ -60,23 +51,17 @@ fn every_runner_report_is_byte_identical_across_runs() {
     // loop automatically picks up new designs as they are installed.
     let reg = rambda_bench::quick_registry();
     assert!(reg.is_complete(), "quick registry must cover every runner");
-    fn build(design: Design) -> RunReport {
-        SimBuilder::new(design).config(&Testbed::default()).run()
-    }
     for name in reg.names() {
-        let first = build(reg.design(name).unwrap()).to_json_string();
-        let second = build(reg.design(name).unwrap()).to_json_string();
+        let first = json(reg.design(name).unwrap());
+        let second = json(reg.design(name).unwrap());
         assert_eq!(first, second, "{name}: report JSON differs between identical runs");
     }
 }
 
 #[test]
 fn txn_runs_are_reproducible() {
-    let tb = Testbed::default();
     let p = TxnParams { txns: 2_000, ..TxnParams::quick(TxnSpec::read_write(64)) };
-    let a = run_rambda_tx(&tb, &p);
-    let b = run_rambda_tx(&tb, &p);
-    assert!(same(&a, &b));
+    assert_eq!(json(Design::txn_rambda_tx(p.clone())), json(Design::txn_rambda_tx(p)));
 }
 
 #[test]

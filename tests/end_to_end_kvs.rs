@@ -2,29 +2,41 @@
 //! workload over the same functional store and must agree functionally
 //! while exhibiting the paper's performance ordering.
 
-use rambda::Testbed;
+use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_des::SimRng;
-use rambda_kvs::designs::{run_cpu, run_rambda, run_smartnic};
 use rambda_kvs::store::{KvConfig, KvStore};
-use rambda_kvs::KvsParams;
+use rambda_kvs::{KvsDesigns, KvsParams};
+use rambda_metrics::RunReport;
 use rambda_workloads::{KeyDist, KvMix};
+
+fn run_cpu(tb: &Testbed, p: &KvsParams) -> RunReport {
+    SimBuilder::new(Design::kvs_cpu(p.clone())).config(tb).run()
+}
+
+fn run_rambda(tb: &Testbed, p: &KvsParams, location: DataLocation) -> RunReport {
+    SimBuilder::new(Design::kvs_rambda(p.clone(), location)).config(tb).run()
+}
+
+fn run_smartnic(tb: &Testbed, p: &KvsParams) -> RunReport {
+    SimBuilder::new(Design::kvs_smartnic(p.clone())).config(tb).run()
+}
 
 #[test]
 fn all_designs_complete_the_full_workload() {
     let tb = Testbed::default();
     let p = KvsParams { requests: 20_000, ..KvsParams::quick() };
     let expected = p.requests - (p.requests as f64 * 0.1) as u64; // post-warm-up
-    for stats in [
+    for report in [
         run_cpu(&tb, &p),
         run_smartnic(&tb, &p),
         run_rambda(&tb, &p, DataLocation::HostDram),
         run_rambda(&tb, &p, DataLocation::LocalDdr),
         run_rambda(&tb, &p, DataLocation::LocalHbm),
     ] {
-        assert_eq!(stats.completed, expected, "lost or duplicated requests");
-        assert!(stats.throughput_ops > 0.0);
-        assert!(stats.latency.count() == stats.completed);
+        assert_eq!(report.completed, expected, "lost or duplicated requests");
+        assert!(report.throughput_ops > 0.0);
+        assert!(report.latency.count == report.completed);
     }
 }
 
@@ -89,5 +101,5 @@ fn window_scales_latency_not_peak_throughput() {
     let s = run_rambda(&tb, &small, DataLocation::HostDram);
     let b = run_rambda(&tb, &big, DataLocation::HostDram);
     assert!((b.throughput_mops() / s.throughput_mops() - 1.0).abs() < 0.1);
-    assert!(b.mean_us() > 2.0 * s.mean_us());
+    assert!(b.latency.mean_us() > 2.0 * s.latency.mean_us());
 }

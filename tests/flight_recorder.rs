@@ -2,13 +2,49 @@
 //! run must cross-validate against its own `RunReport`, export loadable
 //! Chrome trace JSON and a well-formed compact binary, and attribute its
 //! tail to a concrete stage and resource — while a disabled tracer must
-//! leave the run report bit-for-bit unchanged.
+//! leave the run report bit-for-bit unchanged. Every registered design
+//! cross-validates, and so do the network designs under injected loss.
 
+use rambda::micro::MicroParams;
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
+use rambda_fabric::FaultConfig;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::Json;
 use rambda_trace::{Tracer, Track};
+use rambda_txn::{TxnDesigns, TxnParams};
+use rambda_workloads::TxnSpec;
+
+/// Runs `design` with a flight recorder and `faults`, and checks the report
+/// and the trace against each other.
+fn cross_validated(name: &str, design: Design, faults: FaultConfig) {
+    let mut tracer = Tracer::flight_recorder();
+    let report = SimBuilder::new(design).faults(faults).tracer(&mut tracer).run();
+    report.validate().unwrap_or_else(|e| panic!("{name}: inconsistent report: {e}"));
+    tracer.cross_validate(&report).unwrap_or_else(|e| panic!("{name}: trace disagrees with report: {e}"));
+}
+
+#[test]
+fn every_design_cross_validates() {
+    let reg = rambda_bench::quick_registry();
+    assert!(reg.is_complete(), "quick registry must cover every runner");
+    for name in reg.names() {
+        cross_validated(name, reg.design(name).unwrap(), FaultConfig::disabled());
+    }
+    // The two variants outside the registry go through the same framework.
+    let ddio = Design::micro_rambda_always_ddio(MicroParams::quick().with_nvm(), true, 1);
+    cross_validated("micro.rambda (DDIO ablation)", ddio, FaultConfig::disabled());
+    let pure_reads = Design::txn_pure_reads(TxnParams::quick(TxnSpec::single_write(64)));
+    cross_validated("txn.pure_reads", pure_reads, FaultConfig::disabled());
+}
+
+#[test]
+fn lossy_runs_cross_validate() {
+    let reg = rambda_bench::quick_registry();
+    for name in ["kvs.rambda", "txn.rambda_tx"] {
+        cross_validated(name, reg.design(name).unwrap(), FaultConfig::lossy(0xFA17, 1e-3));
+    }
+}
 
 #[test]
 fn traced_kvs_run_cross_validates_and_exports() {

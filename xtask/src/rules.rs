@@ -19,10 +19,11 @@
 //! * **R5** — no `println!` / `eprintln!` (nor `print!` / `eprint!`)
 //!   outside driver binaries: a simulation reports through `RunReport` and
 //!   the flight recorder, never by writing to the terminal mid-run.
-//! * **R6** — no `#[deprecated]` runner shim may exist, and no in-tree
-//!   code still calls one: the legacy `run_*_report` entry points are
-//!   deleted outright, `SimBuilder` is the sole run entry point, and a
-//!   fresh deprecation cycle would silently reopen the double-API surface.
+//! * **R6** — `SimBuilder` is the sole run entry point: no `#[deprecated]`
+//!   runner shim may exist, no in-tree code may still call one, and no
+//!   `pub fn` may return the closed loop's `RunStats` (a stats-only entry
+//!   point beside the builder). A fresh deprecation cycle or stats-only
+//!   wrapper would silently reopen the double-API surface.
 //! * **R7** — no hidden shared mutable state: no `static mut`, no
 //!   `thread_local!`, and no shared-ownership / interior-mutability cell
 //!   (`Rc`, `RefCell`, `Cell`, ...) on a type reachable from a simulated
@@ -71,7 +72,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{Token, TokenKind};
-use crate::parse::{ItemKind, ParsedFile, TypeGraph, Vis};
+use crate::parse::{Item, ItemKind, ParsedFile, TypeGraph, Vis};
 
 /// What the analyzer looks at and which crates each rule applies to.
 #[derive(Debug, Clone)]
@@ -430,23 +431,41 @@ fn rule_r5(f: &ParsedFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// R6: no deprecated runner shim may exist — `SimBuilder` is the sole run
-/// entry point — and nothing in-tree still calls a name that is shimmed.
+/// R6: `SimBuilder` is the sole run entry point — no deprecated runner
+/// shim may exist, nothing in-tree still calls a name that is shimmed, and
+/// no `pub fn` returns `RunStats`.
 ///
 /// Two passes over the parse layer. The first flags every
 /// `#[deprecated] pub fn` item outright: the legacy `run_*_report` era is
 /// over, and a new deprecation cycle would reopen the double-API surface
-/// `SimBuilder` retired. The second flags any identifier use of a flagged
-/// name outside its defining file(s), skipping test modules and `use`
-/// statements, so stragglers surface even if the definition is
-/// allowlisted during a migration.
+/// `SimBuilder` retired. It also flags every non-test `pub fn` whose
+/// return type names `RunStats`, except the methods of `SimCtx`: its
+/// `run` is the closed loop that produces the value a runner closure hands
+/// to the builder, and nothing else may. The second pass flags any
+/// identifier use of a deprecated name outside its defining file(s),
+/// skipping test modules and `use` statements, so stragglers surface even
+/// if the definition is allowlisted during a migration.
 fn rule_r6(files: &[ParsedFile], out: &mut Vec<Violation>) {
     // name -> files defining a deprecated fn of that name.
     let mut deprecated: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
 
     for f in files {
         for item in &f.items {
-            if item.kind != ItemKind::Fn || item.vis != Vis::Pub || !item.deprecated || item.in_test {
+            if item.kind != ItemKind::Fn || item.vis != Vis::Pub || item.in_test {
+                continue;
+            }
+            if item.impl_of.as_deref() != Some("SimCtx") && returns_type(f, item, "RunStats") {
+                out.push(Violation {
+                    rule: "R6",
+                    path: f.rel.clone(),
+                    line: f.tokens[item.span.0].line,
+                    token: item.name.clone(),
+                    hint: "a pub fn returning RunStats is a stats-only entry point; return a Design and run \
+                           it with SimBuilder::new(design).run()"
+                        .to_string(),
+                });
+            }
+            if !item.deprecated {
                 continue;
             }
             out.push(Violation {
@@ -482,6 +501,50 @@ fn rule_r6(files: &[ParsedFile], out: &mut Vec<Violation>) {
             });
         }
     }
+}
+
+/// Whether the fn `item` declares a return type naming `ty`: the tokens
+/// after the `->` that follows its parameter list, up to a `where` clause
+/// or the body. Arrows inside generics or parameters (closure bounds such
+/// as `impl FnOnce() -> RunStats`) do not count.
+fn returns_type(f: &ParsedFile, item: &Item, ty: &str) -> bool {
+    let end = item.body.map_or(item.span.1, |(start, _)| start.saturating_sub(1));
+    let sig = &f.tokens[item.span.0..end.min(f.tokens.len())];
+    let Some(name_at) =
+        sig.windows(2).position(|w| w[0].ident() == Some("fn") && w[1].ident() == Some(item.name.as_str()))
+    else {
+        return false;
+    };
+    // Skip the generics and the parameter list.
+    let (mut angle, mut paren) = (0i32, 0i32);
+    let mut i = name_at + 2;
+    while i < sig.len() {
+        let t = &sig[i];
+        i += 1;
+        if t.is_punct('<') {
+            angle += 1;
+        } else if t.is_punct('>') && !sig[i - 2].is_punct('-') {
+            angle -= 1;
+        } else if t.is_punct('(') {
+            paren += 1;
+        } else if t.is_punct(')') {
+            paren -= 1;
+            if paren == 0 && angle == 0 {
+                break;
+            }
+        }
+    }
+    if !(i + 1 < sig.len() && sig[i].is_punct('-') && sig[i + 1].is_punct('>')) {
+        return false;
+    }
+    for t in &sig[i + 2..] {
+        match t.ident() {
+            Some("where") => break,
+            Some(id) if id == ty => return true,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// The shared-ownership / interior-mutability markers R7 refuses on
@@ -1131,6 +1194,26 @@ mod tests {
         let mut out = Vec::new();
         rule_r6(&[exempt], &mut out);
         assert!(out.is_empty(), "private and test-module fns are exempt: {out:?}");
+    }
+
+    #[test]
+    fn r6_flags_pub_fns_returning_run_stats() {
+        let src = "pub fn run_cpu(tb: &Testbed) -> RunStats { todo!() }\n\
+                   pub fn run_pair() -> (rambda::RunStats, u64) { todo!() }\n\
+                   pub fn design(run: impl FnOnce(&Testbed) -> RunStats) -> Design { todo!() }\n\
+                   pub fn generic<F: Fn() -> RunStats>(f: F) -> u64 where F: Clone { 0 }\n\
+                   fn private() -> RunStats { todo!() }\n\
+                   pub(crate) fn restricted() -> RunStats { todo!() }\n\
+                   impl SimCtx<'_> { pub fn run(self) -> RunStats { todo!() } }\n\
+                   #[cfg(test)]\nmod t { pub fn helper() -> RunStats { todo!() } }";
+        let mut out = Vec::new();
+        rule_r6(&[parsed("crates/kvs/src/designs.rs", src)], &mut out);
+        let names: Vec<&str> = out.iter().map(|v| v.token.as_str()).collect();
+        // Only the two pub fns whose own return type names RunStats fire:
+        // closure bounds, private/restricted fns, SimCtx's loop and test
+        // helpers are exempt.
+        assert_eq!(names, ["run_cpu", "run_pair"], "{out:?}");
+        assert!(out[0].hint.contains("stats-only"), "{}", out[0].hint);
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn bad_fixture_trips_every_rule() {
         ("R6", txn, "run_txn_report"),
         ("R6", txn, "run_txn_report_traced"),
         ("R6", "crates/txn/src/caller.rs", "run_txn_report_traced"),
+        ("R6", txn, "run_hyperloop"),
     ] {
         assert!(hits.contains(&expected), "missing expected violation {expected:?} in {hits:#?}");
     }

@@ -1,7 +1,7 @@
 //! Negative fixture for `cargo xtask analyze`: a crate breaking R6 —
-//! deprecated runner shims that must not exist at all now that
-//! `SimBuilder` is the sole run entry point. Never compiled — scanned by
-//! xtask/tests.
+//! deprecated runner shims and a stats-only entry point that must not
+//! exist at all now that `SimBuilder` is the sole run entry point. Never
+//! compiled — scanned by xtask/tests.
 
 #![forbid(unsafe_code)]
 
@@ -17,4 +17,10 @@ pub fn run_txn_report() -> u64 {
 #[deprecated(note = "use SimBuilder with Design::txn_rambda_tx")]
 pub fn run_txn_report_traced() -> u64 {
     1
+}
+
+/// A stats-only entry point beside `SimBuilder`: returning the closed
+/// loop's `RunStats` from a `pub fn` trips R6.
+pub fn run_hyperloop(testbed: &Testbed, params: &TxnParams) -> RunStats {
+    unimplemented!()
 }
