@@ -14,29 +14,23 @@
 //! beyond the baseline's tolerance prints a readable diff line and the
 //! process exits non-zero, which CI gates on.
 //!
-//! Simulator self-profiling (wall-clock requests/sec and simulated-time
-//! speedup) is *non-gating* metadata: wall time is inherently
-//! nondeterministic, so it is printed and written to a separate
-//! `BENCH_PROFILE.json` sidecar, never into the deterministic artifacts
-//! and never into the comparison (DESIGN.md §10).
+//! The simulator's own wall-clock cost is measured by the `perfbench/`
+//! benchmark, not here: every artifact this binary writes is a pure
+//! function of the seed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use rambda_bench::harness::{compare, is_gating, run_sweep, sweep_names, SweepResult};
-use rambda_metrics::Json;
 
 const USAGE: &str = "\
 Usage: bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
-             [--profile] [--scopes] [--list]
+             [--scopes] [--list]
 
   --quick          CI-sized runs (the committed baselines are quick-mode)
   --sweep NAME     run only the named sweep (repeatable; default: all)
   --out DIR        artifact directory (default: bench/out)
   --compare PATH   baseline dir or file to gate against; regressions exit 1
-  --profile        run each point under the deterministic profiler; sweep
-                   JSON and tables gain an event-dispatch column
   --scopes         run each point under the scoped-metrics registry; sweep
                    JSON and tables gain a hottest-scope request-share column
   --list           print the defined sweep names and exit
@@ -47,7 +41,6 @@ struct Args {
     sweeps: Vec<String>,
     out: PathBuf,
     compare: Option<PathBuf>,
-    profile: bool,
     scopes: bool,
 }
 
@@ -57,14 +50,12 @@ fn parse_args() -> Result<Option<Args>, String> {
         sweeps: Vec::new(),
         out: PathBuf::from("bench/out"),
         compare: None,
-        profile: false,
         scopes: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--profile" => args.profile = true,
             "--scopes" => args.scopes = true,
             "--sweep" => {
                 let name = it.next().ok_or("--sweep requires a name")?;
@@ -125,40 +116,20 @@ fn main() -> ExitCode {
     }
 
     let mut regressions = Vec::new();
-    let mut profile = Json::obj();
     for sweep in &args.sweeps {
-        let started = Instant::now();
-        let result = match run_sweep(sweep, args.quick, args.profile, args.scopes) {
+        let result = match run_sweep(sweep, args.quick, args.scopes) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: sweep {sweep}: {e}");
                 return ExitCode::from(2);
             }
         };
-        let wall = started.elapsed();
-
         let file = args.out.join(format!("BENCH_{sweep}.json"));
         if let Err(e) = std::fs::write(&file, result.to_json_string()) {
             eprintln!("error: cannot write {}: {e}", file.display());
             return ExitCode::from(2);
         }
-        print!("{}", result.render_table());
-
-        // Non-gating self-profile: how fast the simulator itself ran.
-        let completed: u64 = result.points.iter().map(|p| p.completed).sum();
-        let sim_ps: u64 = result.points.iter().map(|p| p.elapsed_ps).sum();
-        let secs = wall.as_secs_f64().max(1e-9);
-        let mut entry = Json::obj();
-        entry.push("wall_ms", Json::F64(wall.as_secs_f64() * 1e3));
-        entry.push("requests_per_sec", Json::F64(completed as f64 / secs));
-        entry.push("sim_time_speedup", Json::F64(sim_ps as f64 / 1e12 / secs));
-        profile.push(sweep, entry);
-        println!(
-            "{sweep}: {} points in {:.1} ms ({:.0} simulated requests/sec, non-gating)\n",
-            result.points.len(),
-            wall.as_secs_f64() * 1e3,
-            completed as f64 / secs
-        );
+        println!("{}", result.render_table());
 
         if let Some(base_path) = &args.compare {
             if !is_gating(sweep) {
@@ -183,12 +154,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-    }
-
-    let profile_file = args.out.join("BENCH_PROFILE.json");
-    if let Err(e) = std::fs::write(&profile_file, profile.render()) {
-        eprintln!("error: cannot write {}: {e}", profile_file.display());
-        return ExitCode::from(2);
     }
 
     if regressions.is_empty() {

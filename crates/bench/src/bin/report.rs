@@ -10,11 +10,11 @@
 //! and `<name>.tail.json` (tail-latency attribution for the `--worst <n>`
 //! slowest requests, default 10).
 //!
-//! With `--profile <dir>` it runs one quick-mode runner (`--profile-runner
-//! <name|all>`, default `kvs.rambda`) with both profiler sides attached and
-//! writes `<name>.profile.json` (deterministic: event-core telemetry and
-//! per-track critical-path busy time) plus a shared
-//! `host.folded` (wall-clock flamegraph input, non-deterministic).
+//! With `--report-out <dir>` it runs one quick-mode runner
+//! (`--report-runner <name|all>`, default `kvs.rambda`) and writes
+//! `<name>.report.json`, the full validated run report. Adding `--profile`
+//! attaches the event-core telemetry section (DESIGN.md §14) to each
+//! report and prints each runner's stage breakdown.
 //!
 //! With `--scopes <name|all>` it runs the selected quick-mode runner(s)
 //! under the scoped-metrics registry (DESIGN.md §15) and prints each
@@ -43,7 +43,7 @@ use rambda_fabric::FaultConfig;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::{Json, RunReport, ScopeConfig};
 use rambda_power::{kop_per_watt, Design as PowerDesign, PowerConfig};
-use rambda_trace::{profile_json, HostProf, Tracer};
+use rambda_trace::Tracer;
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::{DlrmProfile, TxnSpec};
 
@@ -53,17 +53,15 @@ const FAULT_SEED: u64 = 0xFA17;
 
 fn usage() -> ! {
     eprintln!("usage: report [--trace <dir>] [--trace-runner <name|all>] [--worst <n>] [--loss <rate>]");
-    eprintln!("              [--profile <dir>] [--profile-runner <name|all>]");
     eprintln!("              [--scopes <name|all>] [--scopes-out <dir>]");
-    eprintln!("              [--report-out <dir>] [--report-runner <name|all>]");
+    eprintln!("              [--report-out <dir>] [--report-runner <name|all>] [--profile]");
     eprintln!("runners: {}", RUNNER_NAMES.join(", "));
     exit(2);
 }
 
-/// Fail-fast runner-name validation shared by `--trace-runner`,
-/// `--profile-runner`, `--scopes`, and `--report-runner`: rejects an
-/// unknown name with the valid-runner listing before any runner executes
-/// or any output directory is created.
+/// Fail-fast runner-name validation shared by `--trace-runner`, `--scopes`,
+/// and `--report-runner`: rejects an unknown name with the valid-runner
+/// listing before any runner executes or any output directory is created.
 fn check_runner(flag: &str, name: &str) {
     if let Err(e) = rambda::designs::check_runner(name) {
         eprintln!("{e} (for {flag})");
@@ -76,14 +74,12 @@ fn main() {
     let mut trace_dir = std::env::var("RAMBDA_TRACE").ok();
     let mut runner = "kvs.rambda".to_string();
     let mut trace_flags_seen = false;
-    let mut profile_dir: Option<String> = None;
-    let mut profile_runner = "kvs.rambda".to_string();
-    let mut profile_flags_seen = false;
     let mut scopes_runner: Option<String> = None;
     let mut scopes_out: Option<String> = None;
     let mut report_out: Option<String> = None;
     let mut report_runner = "kvs.rambda".to_string();
     let mut report_flags_seen = false;
+    let mut profile = false;
     let mut worst = 10usize;
     let mut loss = 0.0f64;
     let mut i = 0;
@@ -104,15 +100,6 @@ fn main() {
                 trace_flags_seen = true;
                 i += 2;
             }
-            "--profile" => {
-                profile_dir = Some(value(i));
-                i += 2;
-            }
-            "--profile-runner" => {
-                profile_runner = value(i);
-                profile_flags_seen = true;
-                i += 2;
-            }
             "--scopes" => {
                 scopes_runner = Some(value(i));
                 i += 2;
@@ -130,6 +117,10 @@ fn main() {
                 report_flags_seen = true;
                 i += 2;
             }
+            "--profile" => {
+                profile = true;
+                i += 1;
+            }
             "--loss" => {
                 loss = value(i).parse().unwrap_or_else(|_| usage());
                 if !(0.0..=1.0).contains(&loss) {
@@ -144,17 +135,12 @@ fn main() {
     // Fail fast on a bad or pointless selection, before any runner executes
     // or any output directory is created.
     check_runner("--trace-runner", &runner);
-    check_runner("--profile-runner", &profile_runner);
     check_runner("--report-runner", &report_runner);
     if let Some(name) = &scopes_runner {
         check_runner("--scopes", name);
     }
     if trace_flags_seen && trace_dir.is_none() {
         eprintln!("--trace-runner/--worst have no effect without --trace <dir> (or RAMBDA_TRACE=<dir>)");
-        exit(2);
-    }
-    if profile_flags_seen && profile_dir.is_none() {
-        eprintln!("--profile-runner has no effect without --profile <dir>");
         exit(2);
     }
     if scopes_out.is_some() && scopes_runner.is_none() {
@@ -165,11 +151,13 @@ fn main() {
         eprintln!("--report-runner has no effect without --report-out <dir>");
         exit(2);
     }
-    let modes = [scopes_runner.is_some(), trace_dir.is_some(), profile_dir.is_some(), report_out.is_some()];
+    if profile && report_out.is_none() {
+        eprintln!("--profile has no effect without --report-out <dir>");
+        exit(2);
+    }
+    let modes = [scopes_runner.is_some(), trace_dir.is_some(), report_out.is_some()];
     if modes.iter().filter(|&&m| m).count() > 1 {
-        eprintln!(
-            "--trace, --profile, --scopes, and --report-out are mutually exclusive — pick one export mode"
-        );
+        eprintln!("--trace, --scopes, and --report-out are mutually exclusive — pick one export mode");
         exit(2);
     }
 
@@ -179,16 +167,12 @@ fn main() {
         trace_exports(&tb, &dir, &runner, worst, &faults);
         return;
     }
-    if let Some(dir) = profile_dir {
-        profile_exports(&tb, &dir, &profile_runner);
-        return;
-    }
     if let Some(name) = scopes_runner {
         scopes_exports(&tb, &name, scopes_out.as_deref());
         return;
     }
     if let Some(dir) = report_out {
-        report_exports(&tb, &dir, &report_runner);
+        report_exports(&tb, &dir, &report_runner, profile);
         return;
     }
     if faults.is_active() {
@@ -282,6 +266,7 @@ fn main() {
     let txn_report =
         SimBuilder::new(Design::txn_rambda_tx(TxnParams::quick(TxnSpec::read_write(64)))).config(&tb).run();
     for report in [&micro_report, &kvs_report, &txn_report] {
+        report.validate().expect("inconsistent run report");
         print_breakdown(report);
     }
 
@@ -302,15 +287,24 @@ fn design_for(name: &str) -> Design {
 }
 
 /// Runs the selected runner(s), validates each report, and writes
-/// `<name>.report.json` — the full deterministic run report.
-fn report_exports(tb: &Testbed, dir: &str, runner: &str) {
+/// `<name>.report.json` — the full deterministic run report. With
+/// `profile`, each report also carries the event-core section (whose
+/// identities `validate` checks) and its stage breakdown is printed.
+fn report_exports(tb: &Testbed, dir: &str, runner: &str, profile: bool) {
     fs::create_dir_all(dir).expect("create report output dir");
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
-        let report = SimBuilder::new(design_for(name)).config(tb).run();
+        let mut builder = SimBuilder::new(design_for(name)).config(tb);
+        if profile {
+            builder = builder.profile();
+        }
+        let report = builder.run();
         report.validate().expect("inconsistent run report");
         fs::write(format!("{dir}/{name}.report.json"), report.to_json_string()).expect("write run report");
         println!("{name}: {} completions -> {dir}/{name}.report.json", report.completed);
+        if profile {
+            print_breakdown(&report);
+        }
     }
 }
 
@@ -426,42 +420,6 @@ fn trace_exports(tb: &Testbed, dir: &str, runner: &str, worst: usize, faults: &F
     }
 }
 
-/// Runs the selected runner(s) with both profiler sides attached and writes
-/// two artifacts per runner plus one per invocation:
-///
-/// * `<name>.profile.json` — the deterministic profile (event-core
-///   telemetry, per-track critical-path busy time); byte-identical across
-///   same-seed runs.
-/// * `host.folded` — folded-stack wall-clock attribution across all
-///   profiled runners (`<name>;<phase> <ns>` lines for `flamegraph.pl`);
-///   non-deterministic by nature, git-ignored, never golden-tested.
-fn profile_exports(tb: &Testbed, dir: &str, runner: &str) {
-    fs::create_dir_all(dir).expect("create profile output dir");
-    // The wall-clock side: `Instant` is fine here (binaries are exempt from
-    // the determinism rules); the sim crates only ever see the closure.
-    let t0 = std::time::Instant::now();
-    let mut prof = HostProf::new(move || t0.elapsed().as_nanos() as u64);
-    let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
-    for name in names {
-        let mut tracer = Tracer::flight_recorder();
-        let report = prof.time(&format!("{name};run"), || {
-            SimBuilder::new(design_for(name)).config(tb).tracer(&mut tracer).profile().run()
-        });
-        prof.time(&format!("{name};validate"), || {
-            report.validate().expect("inconsistent run report");
-            if let Err(e) = tracer.cross_validate(&report) {
-                eprintln!("{name}: trace/report cross-validation failed: {e}");
-                exit(1);
-            }
-        });
-        let doc = prof.time(&format!("{name};render"), || profile_json(&report, &tracer));
-        fs::write(format!("{dir}/{name}.profile.json"), &doc).expect("write profile json");
-        println!("{name}: profile -> {dir}/{name}.profile.json");
-    }
-    fs::write(format!("{dir}/host.folded"), prof.export_folded()).expect("write folded stacks");
-    println!("Wall-clock attribution (non-deterministic): {dir}/host.folded");
-}
-
 /// The scoped-run configuration for a named runner: the default sketch
 /// capacity, with a per-design p99 SLO target sized to each workload's
 /// quick-mode latency regime (the microbenchmark completes in a few µs,
@@ -549,9 +507,9 @@ fn scopes_exports(tb: &Testbed, runner: &str, out: Option<&str>) {
     }
 }
 
-/// Renders a run report's critical-path stage breakdown as a table.
+/// Renders a validated run report's critical-path stage breakdown as a
+/// table.
 fn print_breakdown(report: &RunReport) {
-    report.validate().expect("inconsistent run report");
     let mut t = Table::new(
         &format!(
             "{} — stage breakdown ({} reqs, mean {:.2} us)",

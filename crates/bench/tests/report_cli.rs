@@ -1,10 +1,13 @@
-//! CLI contract of the `report` binary's scoped-metrics mode (DESIGN.md
-//! §15): bad selections fail fast with the valid-runner listing before any
-//! simulation runs or output directory is created, mirroring the existing
-//! `--trace-runner`/`--profile-runner` validation.
+//! CLI contract of the `report` binary's export modes: the scoped-metrics
+//! mode (DESIGN.md §15) and the run-report export with its `--profile`
+//! section (§14). Bad selections fail fast with the valid-runner listing
+//! before any simulation runs or output directory is created, mirroring the
+//! `--trace-runner` validation.
 
 use std::path::Path;
 use std::process::{Command, Output};
+
+use rambda::{SimBuilder, Testbed};
 
 fn report(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_report")).args(args).output().expect("spawn report")
@@ -36,12 +39,12 @@ fn stray_scopes_out_without_scopes_fails_fast() {
 #[test]
 fn scopes_combined_with_trace_or_profile_fails_fast() {
     let dir = format!("{}/scopes-vs-trace", env!("CARGO_TARGET_TMPDIR"));
-    for other in ["--trace", "--profile", "--report-out"] {
-        let out = report(&["--scopes", "kvs.rambda", other, &dir]);
-        assert_eq!(out.status.code(), Some(2), "{other} + --scopes must exit 2");
+    for other in [&["--trace", &dir][..], &["--report-out", &dir], &["--report-out", &dir, "--profile"]] {
+        let out = report(&[&["--scopes", "kvs.rambda"], other].concat());
+        assert_eq!(out.status.code(), Some(2), "{other:?} + --scopes must exit 2");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("mutually exclusive"), "{err}");
-        assert!(!Path::new(&dir).exists(), "fail-fast must not create the {other} dir");
+        assert!(!Path::new(&dir).exists(), "fail-fast must not create the {other:?} dir");
     }
 }
 
@@ -68,4 +71,43 @@ fn scoped_export_writes_both_artifacts_and_validates() {
     let unscoped =
         std::fs::read_to_string(format!("{dir}/micro.rambda.unscoped.json")).expect("unscoped json");
     assert!(!unscoped.contains("\"scopes\""), "unscoped report must omit the scopes section");
+}
+
+#[test]
+fn profiled_report_export_carries_the_event_core_section() {
+    let dir = format!("{}/report-profiled", env!("CARGO_TARGET_TMPDIR"));
+    let out = report(&["--report-out", &dir, "--report-runner", "micro.rambda", "--profile"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("micro.rambda — stage breakdown"), "{stdout}");
+
+    // The written bytes are exactly a validating in-process profiled run.
+    let design = rambda_bench::quick_registry().design("micro.rambda").expect("registered runner");
+    let expected = SimBuilder::new(design).config(&Testbed::default()).profile().run();
+    expected.validate().expect("profiled report validates its event-core identities");
+    let text = std::fs::read_to_string(format!("{dir}/micro.rambda.report.json")).expect("report json");
+    assert_eq!(text, expected.to_json_string());
+    let ec = expected.event_core.as_ref().expect("profiled report carries the event-core section");
+    assert!(ec.dispatched > 0, "no events dispatched");
+}
+
+#[test]
+fn unprofiled_report_export_omits_the_event_core_section() {
+    let dir = format!("{}/report-plain", env!("CARGO_TARGET_TMPDIR"));
+    let out = report(&["--report-out", &dir, "--report-runner", "micro.rambda"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("stage breakdown"), "{stdout}");
+    let text = std::fs::read_to_string(format!("{dir}/micro.rambda.report.json")).expect("report json");
+    assert!(!text.contains("\"event_core\""), "unprofiled report must omit the event-core section");
+}
+
+#[test]
+fn stray_profile_without_report_out_fails_fast() {
+    let dir = format!("{}/stray-profile", env!("CARGO_TARGET_TMPDIR"));
+    let out = report(&["--scopes", "micro.rambda", "--scopes-out", &dir, "--profile"]);
+    assert_eq!(out.status.code(), Some(2), "stray --profile must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--profile has no effect without --report-out"), "{err}");
+    assert!(!Path::new(&dir).exists(), "fail-fast must not create the output dir");
 }

@@ -1,7 +1,7 @@
 //! The canonical runner-name registry.
 //!
 //! Every surface that accepts a runner name — `report --trace-runner`,
-//! `--profile-runner`, `--scopes`, the bench sweeps, and the differential
+//! `--report-runner`, `--scopes`, the bench sweeps, and the differential
 //! test suites — must agree on the same nine names. This module is the one
 //! place that list lives. The application crates (`rambda-kvs`, `rambda-txn`,
 //! `rambda-dlrm`) depend on this crate, so the framework cannot construct

@@ -1,4 +1,4 @@
-//! Differential property test: the time-wheel [`EventQueue`] against a
+//! Differential property test: [`EventQueue`] against an independent
 //! reference binary-heap scheduler, driven by identical seeded push/pop
 //! schedules. Pop order — including same-time FIFO ties — must match
 //! exactly; this is the determinism contract that keeps golden reports
@@ -9,8 +9,8 @@ use std::collections::BinaryHeap;
 
 use rambda_des::{EventQueue, SimRng, SimTime};
 
-/// The original scheduler: a max-heap over `(time, seq)` with inverted
-/// ordering, exactly as `EventQueue` was implemented before the time-wheel.
+/// The reference scheduler: a max-heap over `(time, seq)` with inverted
+/// ordering, written independently of `EventQueue`'s own implementation.
 #[derive(Default)]
 struct ReferenceQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -54,16 +54,17 @@ impl<E> ReferenceQueue<E> {
 
 /// Runs one randomized schedule against both queues, asserting every pop
 /// matches. `time_range_ps` controls how widely event times spread — small
-/// ranges maximize same-time ties, huge ranges exercise the far overflow.
+/// ranges maximize same-time ties, huge ranges mix picosecond and
+/// far-future gaps in one heap.
 fn differential_run(seed: u64, ops: usize, time_range_ps: u64) {
     let mut rng = SimRng::seed(seed);
-    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut queue: EventQueue<u64> = EventQueue::new();
     let mut reference: ReferenceQueue<u64> = ReferenceQueue::default();
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
     for step in 0..ops {
         // Biased towards pushes so the queues grow, with pop bursts.
-        if wheel.is_empty() || rng.chance(0.55) {
+        if queue.is_empty() || rng.chance(0.55) {
             // Mix in exact ties (same at as `now`) and pushes into the
             // already-drained past.
             let at = if rng.chance(0.15) {
@@ -71,22 +72,22 @@ fn differential_run(seed: u64, ops: usize, time_range_ps: u64) {
             } else {
                 SimTime::from_ps(now.as_ps().saturating_add(rng.gen_range(0..time_range_ps)))
             };
-            wheel.push(at, next_id);
+            queue.push(at, next_id);
             reference.push(at, next_id);
             next_id += 1;
         } else {
-            let a = wheel.pop();
+            let a = queue.pop();
             let b = reference.pop();
             assert_eq!(a, b, "divergence at step {step} (seed {seed})");
             if let Some((at, _)) = a {
                 now = at;
             }
         }
-        assert_eq!(wheel.len(), reference.heap.len());
+        assert_eq!(queue.len(), reference.heap.len());
     }
     // Drain both to the end: full order must agree.
     loop {
-        let a = wheel.pop();
+        let a = queue.pop();
         let b = reference.pop();
         assert_eq!(a, b, "drain divergence (seed {seed})");
         if a.is_none() {
@@ -97,7 +98,7 @@ fn differential_run(seed: u64, ops: usize, time_range_ps: u64) {
 
 #[test]
 fn near_horizon_schedules_match_reference() {
-    // Times within a few bucket widths: the common closed-loop case.
+    // Times within a few microseconds: the common closed-loop case.
     for seed in 0..8 {
         differential_run(seed, 4_000, 5 << 20);
     }
@@ -113,8 +114,8 @@ fn tie_heavy_schedules_match_reference() {
 
 #[test]
 fn far_future_schedules_match_reference() {
-    // Spreads far past the initial wheel horizon: constant re-anchoring
-    // and overflow promotion.
+    // Spreads over about a simulated second: far-future events interleave
+    // with near ones.
     for seed in 200..208 {
         differential_run(seed, 4_000, 1 << 40);
     }
@@ -122,7 +123,7 @@ fn far_future_schedules_match_reference() {
 
 #[test]
 fn mixed_scale_schedules_match_reference() {
-    // Per-seed range sweep from sub-bucket to way past the horizon.
+    // Per-seed range sweep from 16 ps to about five simulated minutes.
     for (i, seed) in (300..312).enumerate() {
         differential_run(seed, 2_000, 1 << (4 + 4 * i as u32));
     }

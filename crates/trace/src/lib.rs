@@ -43,18 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod critpath;
 mod event;
 mod export;
-mod hostprof;
-mod profile;
 mod tail;
 mod tracer;
 mod validate;
 
-pub use critpath::{CriticalPathSummary, TrackWork};
 pub use event::{TraceEvent, Track};
-pub use hostprof::HostProf;
-pub use profile::profile_json;
 pub use tail::{TailAttribution, WorstRequest};
 pub use tracer::{ReqObs, Tracer};

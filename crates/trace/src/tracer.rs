@@ -5,7 +5,6 @@ use std::collections::{BTreeMap, VecDeque};
 use rambda_des::{SampleClock, SimTime, Span};
 use rambda_metrics::{MetricSet, ReqTrace, StageRecorder};
 
-use crate::critpath::{CritAcc, CriticalPathSummary};
 use crate::event::{TraceEvent, Track};
 
 /// Default ring capacity: one million events (~64 MB worst case), enough to
@@ -26,7 +25,6 @@ struct Buf {
     clock: SampleClock,
     final_counters: BTreeMap<String, u64>,
     final_at_ps: Option<u64>,
-    crit: CritAcc,
 }
 
 impl Buf {
@@ -95,7 +93,6 @@ impl Tracer {
                 clock: SampleClock::new(interval),
                 final_counters: BTreeMap::new(),
                 final_at_ps: None,
-                crit: CritAcc::default(),
             }),
         }
     }
@@ -134,13 +131,6 @@ impl Tracer {
     /// The instant of the final counter snapshot, if one was taken.
     pub(crate) fn final_at_ps(&self) -> Option<u64> {
         self.buf.as_ref().and_then(|b| b.final_at_ps)
-    }
-
-    /// The whole-run critical-path analysis accumulated so far, or `None`
-    /// when the tracer is disabled (disabled runs skip accumulation
-    /// entirely). See [`CriticalPathSummary`] for the parallelism math.
-    pub fn critical_path(&self) -> Option<CriticalPathSummary> {
-        self.buf.as_ref().map(|b| b.crit.summarize())
     }
 
     /// Opens a traced request at `issued`: pairs a [`ReqTrace`] cursor from
@@ -240,13 +230,11 @@ impl ReqObs<'_> {
         self.tr.leg(stage, now);
         if let (Some(open), Some(buf)) = (self.open.as_mut(), self.tracer.buf.as_mut()) {
             let end_ps = now.as_ps().max(open.cursor_ps);
-            let track = Track::of_stage(stage);
-            buf.crit.leg(track, end_ps - open.cursor_ps);
             let ev = TraceEvent::Span {
                 id: buf.alloc_id(),
                 parent: open.span_id,
                 req: open.req,
-                track,
+                track: Track::of_stage(stage),
                 stage,
                 start_ps: open.cursor_ps,
                 end_ps,
@@ -268,7 +256,6 @@ impl ReqObs<'_> {
         tr.finish(done);
         if let (Some(open), Some(buf)) = (open, tracer.buf.as_mut()) {
             let end_ps = done.as_ps().max(open.cursor_ps);
-            buf.crit.finish(end_ps - open.start_ps);
             let ev = TraceEvent::Request { id: open.span_id, req: open.req, start_ps: open.start_ps, end_ps };
             buf.push(ev);
         }

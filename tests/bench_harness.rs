@@ -17,8 +17,8 @@ use rambda_bench::harness::{compare, is_gating, run_sweep, sweep_names, SweepRes
 #[test]
 fn quick_sweeps_are_byte_deterministic_and_self_consistent() {
     for name in sweep_names() {
-        let a = run_sweep(name, true, false, false).expect(name);
-        let b = run_sweep(name, true, false, false).expect(name);
+        let a = run_sweep(name, true, false).expect(name);
+        let b = run_sweep(name, true, false).expect(name);
         let text = a.to_json_string();
         assert_eq!(text, b.to_json_string(), "{name}: same-seed sweeps serialized differently");
 
@@ -55,30 +55,14 @@ fn quick_sweeps_are_byte_deterministic_and_self_consistent() {
     }
 }
 
-/// Profiled sweeps stay byte-deterministic, carry the profiler rows, and
-/// never perturb the headline numbers of the run they observe.
-#[test]
-fn profiled_sweeps_are_deterministic_and_additive() {
-    let plain = run_sweep("micro_designs", true, false, false).expect("plain");
-    let a = run_sweep("micro_designs", true, true, false).expect("profiled");
-    let b = run_sweep("micro_designs", true, true, false).expect("profiled");
-    assert_eq!(a.to_json_string(), b.to_json_string(), "same-seed profiled sweeps must match");
-    assert!(a.to_json_string().contains("events_dispatched"));
-    for (p, q) in plain.points.iter().zip(&a.points) {
-        assert_eq!(p.throughput_ops, q.throughput_ops, "profiling perturbed {}", p.design);
-        assert_eq!(p.p99_ps, q.p99_ps, "profiling perturbed {}", p.design);
-        assert!(q.events_dispatched.is_some_and(|n| n > 0), "{}", q.design);
-    }
-}
-
 /// Scoped sweeps stay byte-deterministic, carry the hot-fraction digest,
 /// and never perturb the headline numbers of the run they observe
 /// (scoped metrics only attribute what the run already records).
 #[test]
 fn scoped_sweeps_are_deterministic_and_additive() {
-    let plain = run_sweep("kvs_load", true, false, false).expect("plain");
-    let a = run_sweep("kvs_load", true, false, true).expect("scoped");
-    let b = run_sweep("kvs_load", true, false, true).expect("scoped");
+    let plain = run_sweep("kvs_load", true, false).expect("plain");
+    let a = run_sweep("kvs_load", true, true).expect("scoped");
+    let b = run_sweep("kvs_load", true, true).expect("scoped");
     assert_eq!(a.to_json_string(), b.to_json_string(), "same-seed scoped sweeps must match");
     assert!(a.to_json_string().contains("hot_fraction"));
     assert!(!plain.to_json_string().contains("hot_fraction"), "unscoped sweeps must omit the key");
@@ -94,7 +78,7 @@ fn scoped_sweeps_are_deterministic_and_additive() {
 /// against what was committed).
 #[test]
 fn compare_fails_against_a_perturbed_baseline() {
-    let current = run_sweep("micro_designs", true, false, false).expect("micro_designs");
+    let current = run_sweep("micro_designs", true, false).expect("micro_designs");
 
     let mut inflated = current.clone();
     inflated.points[0].throughput_ops *= 1.20; // pretend the baseline was 20 % faster
@@ -129,7 +113,7 @@ fn committed_baselines_are_current() {
         assert_eq!(baseline.sweep, *name);
         assert_eq!(baseline.mode, "quick", "{name}: committed baselines must be quick-mode");
 
-        let current = run_sweep(name, true, false, false).expect(name);
+        let current = run_sweep(name, true, false).expect(name);
         let diffs = compare(&current, &baseline);
         assert!(diffs.is_empty(), "{name} regressed vs committed baseline: {diffs:?}");
         assert_eq!(

@@ -1,26 +1,27 @@
-//! The deterministic profiler is a pure function of the seed: same-seed
-//! runs render byte-identical profile JSON (mirroring `determinism.rs` for
-//! reports), the event-core identities validate, the driver's event
-//! accounting matches its closed loop exactly on the paper's two headline
-//! designs, and profiling never perturbs the simulated run it observes.
+//! The profiled run report is a pure function of the seed: same-seed
+//! profiled runs render byte-identical report JSON (mirroring
+//! `determinism.rs` for unprofiled reports), the event-core identities
+//! validate, the driver's event accounting matches its closed loop exactly
+//! on the paper's two headline designs, and profiling never perturbs the
+//! simulated run it observes.
 
 use rambda::{Design, SimBuilder, Testbed};
 use rambda_accel::DataLocation;
 use rambda_kvs::{KvsDesigns, KvsParams};
 use rambda_metrics::RunReport;
-use rambda_trace::{profile_json, Tracer};
+use rambda_trace::Tracer;
 use rambda_txn::{TxnDesigns, TxnParams};
 use rambda_workloads::TxnSpec;
 
-/// Runs `design` once under the profiler and renders its profile JSON.
-fn profiled(design: Design) -> (RunReport, String) {
+/// Runs `design` once under the profiler, with the flight recorder
+/// attached and cross-validated against the report.
+fn profiled(design: Design) -> RunReport {
     let tb = Testbed::default();
     let mut tracer = Tracer::flight_recorder();
     let report = SimBuilder::new(design).config(&tb).tracer(&mut tracer).profile().run();
     report.validate().expect("profiled report validates its event-core identities");
     tracer.cross_validate(&report).expect("trace agrees with the report");
-    let json = profile_json(&report, &tracer);
-    (report, json)
+    report
 }
 
 fn kvs_design() -> Design {
@@ -34,9 +35,10 @@ fn txn_design() -> Design {
 #[test]
 fn same_seed_profiles_are_byte_identical() {
     for design in [kvs_design, txn_design] {
-        let (_, a) = profiled(design());
-        let (_, b) = profiled(design());
-        assert_eq!(a, b, "same-seed profile JSON must be byte-identical");
+        let a = profiled(design()).to_json_string();
+        let b = profiled(design()).to_json_string();
+        assert_eq!(a, b, "same-seed profiled reports must be byte-identical");
+        assert!(a.contains("\"event_core\""), "the profiled report embeds the event-core section");
     }
 }
 
@@ -50,7 +52,7 @@ fn driver_event_accounting_matches_the_closed_loop() {
         ("txn.rambda_tx", txn_design(), 1, txn.txns),
     ];
     for (name, design, window, requests) in cases {
-        let (report, json) = profiled(design);
+        let report = profiled(design);
         let ec = report.event_core.as_ref().expect("profiled report carries event-core telemetry");
         let pushes = |kind: &str| {
             ec.kinds
@@ -66,8 +68,6 @@ fn driver_event_accounting_matches_the_closed_loop() {
         assert_eq!(ec.enqueued, requests, "{name}: the driver is the queue's only client");
         assert_eq!(ec.dispatched, ec.enqueued, "{name}: every event fires");
         assert_eq!(ec.pending, 0, "{name}: the queue drains");
-        assert!(json.contains("\"event_core\""), "{name}: profile embeds the event-core section");
-        assert!(json.contains("\"critical_path\""), "{name}: profile embeds the critical path");
     }
 }
 
@@ -75,7 +75,7 @@ fn driver_event_accounting_matches_the_closed_loop() {
 fn profiling_never_perturbs_the_run_it_observes() {
     let tb = Testbed::default();
     let plain = SimBuilder::new(kvs_design()).config(&tb).run();
-    let (profiled_report, _) = profiled(kvs_design());
+    let profiled_report = profiled(kvs_design());
     assert_eq!(plain.completed, profiled_report.completed);
     assert_eq!(plain.elapsed_ps, profiled_report.elapsed_ps);
     assert_eq!(plain.latency.p99_ps, profiled_report.latency.p99_ps);

@@ -1,18 +1,15 @@
 //! Workspace automation tasks (`cargo xtask ...`).
 //!
-//! Two tasks live here: `analyze`, a dependency-free static analyzer that
+//! The library holds `analyze`, a dependency-free static analyzer that
 //! enforces the workspace's determinism and unsafety invariants (DESIGN.md
-//! §8), and the `bench --profile-compare` throughput gate that fails CI when
-//! the simulator's events-per-wall-second drops below a committed floor
-//! (DESIGN.md §12.3). Both are library modules so the negative-fixture tests
-//! under `xtask/tests/` can drive them directly.
+//! §8), so the negative-fixture tests under `xtask/tests/` can drive it
+//! directly. `bench` only forwards to the `rambda-bench` harness binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexer;
 pub mod parse;
-pub mod profile;
 pub mod rules;
 
 pub use rules::{analyze, Analysis, Config, Violation};

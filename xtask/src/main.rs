@@ -47,18 +47,12 @@ Commands:
       annotations so violations surface inline on pull requests.
 
   bench [--quick] [--sweep NAME]... [--out DIR] [--compare PATH]
-        [--profile-compare PATH] [--profile] [--list]
+        [--scopes] [--list]
       Build (release) and run the continuous-benchmark harness: seeded
       sweeps reproducing the paper's curves, byte-deterministic
       BENCH_<sweep>.json artifacts, and — with --compare — a regression
-      gate against committed baselines (DESIGN.md §10). All flags except
-      --profile-compare are forwarded to the rambda-bench `bench` binary.
-
-      --profile-compare PATH is handled by xtask itself: after the harness
-      exits cleanly, the fresh BENCH_PROFILE.json (from --out, default
-      bench/out) is gated against PATH/BENCH_PROFILE.json — every gating
-      sweep must keep requests_per_sec above the committed floor minus 40%
-      tolerance (DESIGN.md §12.3). Exit 1 on any throughput regression.
+      gate against committed baselines (DESIGN.md §10). All flags are
+      forwarded to the rambda-bench `bench` binary.
 ";
 
 fn main() -> ExitCode {
@@ -110,90 +104,19 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
 /// (relative artifact/baseline paths like `bench/baselines` then resolve
 /// the same way from any cwd inside the workspace), forwarding all flags
 /// and the child's exit status.
-///
-/// `--profile-compare PATH` is intercepted here rather than forwarded: once
-/// the harness exits cleanly, the fresh `BENCH_PROFILE.json` under `--out`
-/// (default `bench/out`) is gated against `PATH/BENCH_PROFILE.json`.
 fn run_bench(forward: Vec<String>) -> ExitCode {
-    let mut child_args = Vec::with_capacity(forward.len());
-    let mut profile_floor: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("bench/out");
-    let mut it = forward.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--profile-compare" => match it.next() {
-                Some(p) => profile_floor = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --profile-compare requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => {
-                    out_dir = PathBuf::from(&p);
-                    child_args.push(arg);
-                    child_args.push(p);
-                }
-                None => {
-                    eprintln!("error: --out requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => child_args.push(arg),
-        }
-    }
-
-    let root = workspace_root(None);
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let status = std::process::Command::new(cargo)
-        .current_dir(&root)
+        .current_dir(workspace_root(None))
         .args(["run", "--release", "-q", "-p", "rambda-bench", "--bin", "bench", "--"])
-        .args(child_args)
+        .args(forward)
         .status();
-    let code = match status {
-        Ok(s) => s.code().unwrap_or(2).clamp(0, 255) as u8,
+    match status {
+        Ok(s) => ExitCode::from(s.code().unwrap_or(2).clamp(0, 255) as u8),
         Err(e) => {
             eprintln!("error: failed to launch the bench harness: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-    if code != 0 {
-        return ExitCode::from(code);
-    }
-    match profile_floor {
-        Some(floor) => run_profile_gate(&root.join(out_dir), &root.join(floor)),
-        None => ExitCode::SUCCESS,
-    }
-}
-
-/// Gates the fresh profile in `out_dir` against the committed floor in
-/// `floor_dir` (both hold a `BENCH_PROFILE.json`). Exit 1 on regression,
-/// 2 when either file is missing or malformed.
-fn run_profile_gate(out_dir: &std::path::Path, floor_dir: &std::path::Path) -> ExitCode {
-    let load = |dir: &std::path::Path| -> Result<xtask::profile::Profile, String> {
-        let path = dir.join("BENCH_PROFILE.json");
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        xtask::profile::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let (current, floor) = match (load(out_dir), load(floor_dir)) {
-        (Ok(c), Ok(f)) => (c, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let regressions = xtask::profile::compare(&current, &floor);
-    for r in &regressions {
-        println!("{r}");
-    }
-    let gated = floor.sweep_names().filter(|s| xtask::profile::Profile::is_gating(s)).count();
-    if regressions.is_empty() {
-        println!("profile gate: {gated} sweeps above the committed throughput floor");
-        ExitCode::SUCCESS
-    } else {
-        println!("profile gate: {} of {gated} sweeps regressed", regressions.len());
-        ExitCode::FAILURE
     }
 }
 
