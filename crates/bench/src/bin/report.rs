@@ -28,7 +28,9 @@
 //! fabric. In headline mode this prints a clean-vs-lossy comparison of the
 //! KVS Rambda design (recovery counters, tail cost); in trace mode the
 //! traced runner(s) execute under the lossy plan and the fault/retransmit
-//! events land in the exported artifacts.
+//! events land in the exported artifacts; in `--report-out` mode the
+//! exported reports carry the run's fault and recovery counters. Scoped
+//! runs are fault-free, so `--scopes` with a non-zero `--loss` fails fast.
 
 use std::fs;
 use std::process::exit;
@@ -55,6 +57,7 @@ fn usage() -> ! {
     eprintln!("usage: report [--trace <dir>] [--trace-runner <name|all>] [--worst <n>] [--loss <rate>]");
     eprintln!("              [--scopes <name|all>] [--scopes-out <dir>]");
     eprintln!("              [--report-out <dir>] [--report-runner <name|all>] [--profile]");
+    eprintln!("--loss applies to the headline, --trace and --report-out modes, not to --scopes");
     eprintln!("runners: {}", RUNNER_NAMES.join(", "));
     exit(2);
 }
@@ -160,6 +163,10 @@ fn main() {
         eprintln!("--trace, --scopes, and --report-out are mutually exclusive — pick one export mode");
         exit(2);
     }
+    if scopes_runner.is_some() && loss > 0.0 {
+        eprintln!("--loss has no effect with --scopes — scoped runs are fault-free");
+        exit(2);
+    }
 
     let tb = Testbed::default();
     let faults = FaultConfig::lossy(FAULT_SEED, loss);
@@ -172,7 +179,7 @@ fn main() {
         return;
     }
     if let Some(dir) = report_out {
-        report_exports(&tb, &dir, &report_runner, profile);
+        report_exports(&tb, &dir, &report_runner, profile, &faults);
         return;
     }
     if faults.is_active() {
@@ -286,15 +293,15 @@ fn design_for(name: &str) -> Design {
     })
 }
 
-/// Runs the selected runner(s), validates each report, and writes
-/// `<name>.report.json` — the full deterministic run report. With
+/// Runs the selected runner(s) under `faults`, validates each report, and
+/// writes `<name>.report.json` — the full deterministic run report. With
 /// `profile`, each report also carries the event-core section (whose
 /// identities `validate` checks) and its stage breakdown is printed.
-fn report_exports(tb: &Testbed, dir: &str, runner: &str, profile: bool) {
+fn report_exports(tb: &Testbed, dir: &str, runner: &str, profile: bool, faults: &FaultConfig) {
     fs::create_dir_all(dir).expect("create report output dir");
     let names: Vec<&str> = if runner == "all" { RUNNER_NAMES.to_vec() } else { vec![runner] };
     for name in names {
-        let mut builder = SimBuilder::new(design_for(name)).config(tb);
+        let mut builder = SimBuilder::new(design_for(name)).config(tb).faults(faults.clone());
         if profile {
             builder = builder.profile();
         }

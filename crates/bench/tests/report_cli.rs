@@ -1,13 +1,14 @@
 //! CLI contract of the `report` binary's export modes: the scoped-metrics
 //! mode (DESIGN.md §15) and the run-report export with its `--profile`
-//! section (§14). Bad selections fail fast with the valid-runner listing
-//! before any simulation runs or output directory is created, mirroring the
-//! `--trace-runner` validation.
+//! section (§14) and its `--loss` fault plan. Bad selections fail fast with
+//! the valid-runner listing before any simulation runs or output directory
+//! is created, mirroring the `--trace-runner` validation.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
 use rambda::{SimBuilder, Testbed};
+use rambda_fabric::FaultConfig;
 
 fn report(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_report")).args(args).output().expect("spawn report")
@@ -109,5 +110,41 @@ fn stray_profile_without_report_out_fails_fast() {
     assert_eq!(out.status.code(), Some(2), "stray --profile must exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--profile has no effect without --report-out"), "{err}");
+    assert!(!Path::new(&dir).exists(), "fail-fast must not create the output dir");
+}
+
+#[test]
+fn lossy_report_export_carries_the_fault_counters() {
+    let dir = format!("{}/report-lossy", env!("CARGO_TARGET_TMPDIR"));
+    let out = report(&["--report-out", &dir, "--report-runner", "kvs.rambda", "--loss", "1e-3"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(format!("{dir}/kvs.rambda.report.json")).expect("report json");
+
+    // The written bytes are exactly a validating in-process run under the
+    // CLI's seeded plan, and differ from the clean run.
+    let run = |faults: FaultConfig| {
+        let design = rambda_bench::quick_registry().design("kvs.rambda").expect("registered runner");
+        SimBuilder::new(design).config(&Testbed::default()).faults(faults).run()
+    };
+    let lossy = run(FaultConfig::lossy(0xFA17, 1e-3));
+    lossy.validate().expect("lossy report validates its fault/recovery identities");
+    assert_eq!(text, lossy.to_json_string());
+    let dropped: u64 = lossy
+        .resources
+        .counters()
+        .filter(|(name, _)| name.ends_with(".faults.dropped"))
+        .map(|(_, v)| v)
+        .sum();
+    assert!(dropped > 0, "lossy report carries no dropped frames");
+    assert_ne!(text, run(FaultConfig::disabled()).to_json_string(), "lossy report equals the clean one");
+}
+
+#[test]
+fn scopes_with_loss_fails_fast() {
+    let dir = format!("{}/scopes-lossy", env!("CARGO_TARGET_TMPDIR"));
+    let out = report(&["--scopes", "kvs.rambda", "--scopes-out", &dir, "--loss", "1e-3"]);
+    assert_eq!(out.status.code(), Some(2), "--scopes with --loss must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--loss has no effect with --scopes"), "{err}");
     assert!(!Path::new(&dir).exists(), "fail-fast must not create the output dir");
 }

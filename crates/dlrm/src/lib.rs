@@ -9,7 +9,9 @@
 //! * [`serving`] — the Fig. 13 experiments: CPU (1–16 cores) vs Rambda /
 //!   Rambda-LD / Rambda-LH, where the CPU preprocesses requests and the
 //!   accelerator performs the bandwidth-bound embedding reduction — the
-//!   CPU-accelerator *collaboration* pattern of Sec. III-C.
+//!   CPU-accelerator *collaboration* pattern of Sec. III-C. Serving times
+//!   each query from its reduction plan alone; the functional model is
+//!   exercised by the tests and `examples/dlrm_inference.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,6 +17,13 @@ use crate::model::EmbeddingTable;
 #[cfg(test)]
 use crate::model::ReduceOp;
 
+/// The cover bound of a `rows`-row embedding table: pairs `p < memo_cover(rows)`
+/// are memoized. The hottest quarter of the `rows / 2` pairs gives a memo
+/// footprint of 0.25× the embedding table.
+pub fn memo_cover(rows: usize) -> u32 {
+    (rows / 4) as u32
+}
+
 /// The memoization table: precomputed sums for pairs `p < memo_pairs`.
 #[derive(Debug, Clone)]
 pub struct MemoTable {
@@ -25,12 +32,10 @@ pub struct MemoTable {
 }
 
 impl MemoTable {
-    /// Builds the memo table over the hottest quarter of pairs, giving a
-    /// memory footprint of 0.25× the embedding table.
+    /// Builds the memo table over the pairs [`memo_cover`] names.
     pub fn build(table: &EmbeddingTable) -> Self {
-        let pairs = (table.len() / 2) as u32;
-        let memo_pairs = (table.len() / 4) as u32;
-        let entries = (0..memo_pairs.min(pairs))
+        let memo_pairs = memo_cover(table.len());
+        let entries = (0..memo_pairs)
             .map(|p| {
                 let a = table.row(2 * p);
                 let b = table.row(2 * p + 1);
@@ -53,11 +58,6 @@ impl MemoTable {
     /// Memory footprint in bytes.
     pub fn bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.len() as u64 * 4).sum()
-    }
-
-    /// Whether pair `p` is memoized.
-    pub fn covers(&self, pair: u32) -> bool {
-        pair < self.memo_pairs
     }
 
     /// The memoized sum of pair `p`.
@@ -83,6 +83,12 @@ pub struct ReductionPlan {
 impl ReductionPlan {
     /// Builds the plan: co-occurring memoized pairs collapse to one read.
     pub fn build(query: &DlrmQuery, memo: &MemoTable) -> Self {
+        Self::with_cover(query, memo.memo_pairs)
+    }
+
+    /// Builds the plan for pairs `p < cover` memoized (see [`memo_cover`]),
+    /// without the memo table's values.
+    pub fn with_cover(query: &DlrmQuery, cover: u32) -> Self {
         let mut memo_pairs = Vec::new();
         let mut singles = Vec::new();
         let mut sorted = query.features.clone();
@@ -91,7 +97,7 @@ impl ReductionPlan {
         while i < sorted.len() {
             let f = sorted[i];
             let pair = f / 2;
-            if i + 1 < sorted.len() && sorted[i + 1] == f + 1 && f.is_multiple_of(2) && memo.covers(pair) {
+            if i + 1 < sorted.len() && sorted[i + 1] == f + 1 && f.is_multiple_of(2) && pair < cover {
                 memo_pairs.push(pair);
                 i += 2;
             } else {

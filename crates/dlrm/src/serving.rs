@@ -15,10 +15,9 @@ use rambda_fabric::{Network, NodeId};
 use rambda_mem::MemKind;
 use rambda_metrics::MetricSet;
 use rambda_rnic::{rdma_write, two_sided_send, MrInfo, PostFlags, PostPath, WriteOpts};
-use rambda_workloads::{DlrmProfile, Zipf};
+use rambda_workloads::{DlrmProfile, DlrmQuery, Zipf};
 
-use crate::merci::{sample_correlated_query, MemoTable, ReductionPlan};
-use crate::model::DlrmModel;
+use crate::merci::{memo_cover, sample_correlated_query, ReductionPlan};
 
 const CLIENT: NodeId = NodeId(0);
 const SERVER: NodeId = NodeId(1);
@@ -71,8 +70,10 @@ pub struct DlrmParams {
     pub profile: DlrmProfile,
     /// Embedding dimension (64 in Sec. VI-D).
     pub dim: usize,
-    /// Rows in the functional scaled-down model (timing uses real reduction
-    /// plans over these rows; footprints use the profile's full scale).
+    /// Embedding rows queries sample from: sizes the feature id space and
+    /// the MERCI memo cover bound ([`memo_cover`]) the reduction plans use.
+    /// Serving builds no embedding values; footprints use the profile's
+    /// full scale.
     pub functional_rows: u32,
     /// Whether MERCI memoization is enabled (the paper reports MERCI; the
     /// native reduction "shows the same trend").
@@ -146,50 +147,38 @@ fn observe_plan(req: &mut Request<'_>, params: &DlrmParams, plan: &ReductionPlan
     }
 }
 
-/// Shared functional state for one run.
+/// Query sampling state for one run. Timing reads only the reduction plans,
+/// so no embedding values are built; the functional model is exercised by
+/// the tests below and `examples/dlrm_inference.rs`.
 struct DlrmWorld {
-    model: DlrmModel,
-    memo: MemoTable,
     pair_zipf: Zipf,
     rng: SimRng,
-    checked: u64,
+    /// Pairs `p < memo_cover` are memoized (see [`memo_cover`]).
+    memo_cover: u32,
 }
 
 impl DlrmWorld {
     fn new(params: &DlrmParams) -> Self {
-        let model = DlrmModel::synthetic(params.functional_rows as usize, params.dim);
-        let memo = MemoTable::build(&model.embedding);
         DlrmWorld {
-            memo,
             pair_zipf: Zipf::new(params.functional_rows as u64 / 2, params.profile.zipf_theta),
-            model,
             rng: SimRng::seed(params.seed),
-            checked: 0,
+            memo_cover: memo_cover(params.functional_rows as usize),
         }
     }
 
-    /// Samples a query and computes its reduction plan + inference result.
-    fn next_query(&mut self, params: &DlrmParams) -> (ReductionPlan, u64, f32) {
+    /// Samples a query; returns its reduction plan and wire size.
+    fn next_query(&mut self, params: &DlrmParams) -> (ReductionPlan, u64) {
         let q =
             sample_correlated_query(&params.profile, params.functional_rows, &self.pair_zipf, &mut self.rng);
-        let plan = if params.merci {
-            ReductionPlan::build(&q, &self.memo)
+        (self.plan(&q, params), q.wire_bytes())
+    }
+
+    fn plan(&self, q: &DlrmQuery, params: &DlrmParams) -> ReductionPlan {
+        if params.merci {
+            ReductionPlan::with_cover(q, self.memo_cover)
         } else {
             ReductionPlan { memo_pairs: Vec::new(), singles: q.features.clone() }
-        };
-        // Functional inference (and an occasional cross-check against the
-        // naive reduction).
-        let reduced = plan.reduce(&self.model.embedding, &self.memo);
-        let score = self.model.mlp.forward(&reduced)[0];
-        if self.checked < 8 {
-            let naive = self.model.infer(&q.features);
-            debug_assert!(
-                (score - naive).abs() < 1e-3 * naive.abs().max(1.0),
-                "memoized inference diverged: {score} vs {naive}"
-            );
-            self.checked += 1;
         }
-        (plan, q.wire_bytes(), score)
     }
 }
 
@@ -254,7 +243,7 @@ fn run_cpu(testbed: &Testbed, params: &DlrmParams, cores: usize, ctx: SimCtx<'_>
 
     ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
         let CpuRig { net, client, server, core_pool, gather } = rig;
-        let (plan, wire, _score) = world.next_query(params);
+        let (plan, wire) = world.next_query(params);
         // Scope attribution covers shed queries too: every traced query
         // lands in exactly one embedding-table partition.
         observe_plan(req, params, &plan);
@@ -335,7 +324,7 @@ fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation, ct
 
     ctx.run(&params.driver(), &params.scope_names(), &mut rig, |rig, req, _c, at| {
         let RambdaRig { net, client, server, engine, preprocess_cores, dispatch } = rig;
-        let (plan, wire, _score) = world.next_query(params);
+        let (plan, wire) = world.next_query(params);
         // Scope attribution covers shed queries too: every traced query
         // lands in exactly one embedding-table partition.
         observe_plan(req, params, &plan);
@@ -401,6 +390,8 @@ fn run_rambda(testbed: &Testbed, params: &DlrmParams, location: DataLocation, ct
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merci::MemoTable;
+    use crate::model::DlrmModel;
     use rambda::SimBuilder;
 
     fn tb() -> Testbed {
@@ -483,12 +474,45 @@ mod tests {
         let p = books();
         let mut a = DlrmWorld::new(&p);
         let mut b = DlrmWorld::new(&p);
+        let model_a = DlrmModel::synthetic(p.functional_rows as usize, p.dim);
+        let model_b = DlrmModel::synthetic(p.functional_rows as usize, p.dim);
+        let (memo_a, memo_b) = (MemoTable::build(&model_a.embedding), MemoTable::build(&model_b.embedding));
         for _ in 0..50 {
-            let (pa, wa, sa) = a.next_query(&p);
-            let (pb, wb, sb) = b.next_query(&p);
+            let (pa, wa) = a.next_query(&p);
+            let (pb, wb) = b.next_query(&p);
             assert_eq!(pa, pb);
             assert_eq!(wa, wb);
-            assert_eq!(sa, sb);
+            let sa = model_a.mlp.forward(&pa.reduce(&model_a.embedding, &memo_a))[0];
+            let sb = model_b.mlp.forward(&pb.reduce(&model_b.embedding, &memo_b))[0];
+            assert_eq!(sa.to_bits(), sb.to_bits());
+        }
+    }
+
+    #[test]
+    fn memoized_inference_equals_naive_for_every_profile() {
+        let rows = books().functional_rows;
+        let model = DlrmModel::synthetic(rows as usize, books().dim);
+        let memo = MemoTable::build(&model.embedding);
+        for profile in DlrmProfile::all() {
+            let p = DlrmParams::quick(profile);
+            assert_eq!(p.functional_rows, rows);
+            let mut world = DlrmWorld::new(&p);
+            let mut memo_hits = 0;
+            for _ in 0..300 {
+                let q = sample_correlated_query(&p.profile, rows, &world.pair_zipf, &mut world.rng);
+                // Serving's plan is the plan over the memo table's values.
+                let plan = ReductionPlan::build(&q, &memo);
+                assert_eq!(world.plan(&q, &p), plan);
+                memo_hits += plan.memo_pairs.len();
+                let score = model.mlp.forward(&plan.reduce(&model.embedding, &memo))[0];
+                let naive = model.infer(&q.features);
+                assert!(
+                    (score - naive).abs() <= 1e-3 * naive.abs().max(1.0),
+                    "{}: memoized inference diverged: {score} vs {naive}",
+                    p.profile.name
+                );
+            }
+            assert!(memo_hits > 0, "{}: no query hit the memo table", p.profile.name);
         }
     }
 }

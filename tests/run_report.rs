@@ -61,6 +61,13 @@ fn txn_report() -> RunReport {
         .run()
 }
 
+fn dlrm_report() -> RunReport {
+    let books = DlrmProfile::by_name("Books").unwrap();
+    SimBuilder::new(Design::dlrm_rambda(DlrmParams::quick(books), DataLocation::HostDram))
+        .config(&Testbed::default())
+        .run()
+}
+
 #[test]
 fn golden_micro_rambda_report() {
     check_golden("micro_rambda", &micro_report());
@@ -77,12 +84,18 @@ fn golden_txn_rambda_report() {
 }
 
 #[test]
+fn golden_dlrm_rambda_report() {
+    check_golden("dlrm_rambda", &dlrm_report());
+}
+
+#[test]
 fn reports_are_deterministic_across_runs() {
     // Two fresh worlds, same seed: byte-identical JSON. This is the
     // invariant the golden files rely on.
     assert_eq!(micro_report().to_json_string(), micro_report().to_json_string());
     assert_eq!(kvs_report().to_json_string(), kvs_report().to_json_string());
     assert_eq!(txn_report().to_json_string(), txn_report().to_json_string());
+    assert_eq!(dlrm_report().to_json_string(), dlrm_report().to_json_string());
 }
 
 #[test]
